@@ -28,7 +28,6 @@ from .scores import EmpiricalScore, GaussianScore, NoiseLevels, ScoreModel, geom
 from .sampler import (
     DivergenceError,
     SamplerConfig,
-    Trajectory,
     freq_domain_sample,
     langevin_sample,
     sample_batch,

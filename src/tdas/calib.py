@@ -26,9 +26,6 @@ DDPM = "ddpm"
 
 RATIO_FLOOR = 1e-12
 
-# Default number of generated samples used per calibration run.
-DEFAULT_CALIBRATION_SAMPLES = 200
-
 
 class CalibrationError(Exception):
     """Raised when no radius satisfies the quantile-crossing rule; carries the curve."""
@@ -182,9 +179,7 @@ def calc_freq_params(g: RatioGrid, direction: str = SGM, transform: str | None =
     step = 1.0 / max(g.gamma.shape)
     r1 = max(r1, step)
     r2 = max(r2, r1)
-    return FreqFilterParams(
-        lambda1=ave / q1, lambda2=ave / q2, r1=r1, r2=r2, transform=transform, zones=3
-    )
+    return FreqFilterParams(lambda1=ave / q1, lambda2=ave / q2, r1=r1, r2=r2, transform=transform)
 
 
 def write_kappa_csv(curve, path) -> None:

@@ -142,9 +142,7 @@ def _load_run_config(path, overrides: dict) -> dict:
 @click.option("--iterations", type=int, default=None, help="Override total iterations.")
 @click.option("--accel", type=float, default=None, help="Override the step-size multiplier.")
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker cap; results are scheduling-independent.")
-def cmd_sample(run_config, use_vanilla, iterations, accel, seed, jobs):
+def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
     """Run a batch of sampling chains described by RUN_CONFIG (JSON; flags win)."""
     try:
         cfg = _load_run_config(run_config, {"accel_factor": accel, "seed": seed})

@@ -36,10 +36,6 @@ def as_tensor(data, shape=None) -> np.ndarray:
     return t
 
 
-def zeros(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
-
-
 @dataclass
 class ImageDataset:
     """Non-empty ordered collection of same-shape tensors, stored stacked as (N, C, H, W)."""

@@ -23,7 +23,7 @@ class FreqFilterParams:
     Radii are fractions of the grid extent: the squared radial coordinate of
     cell (h, w) is d0 = (h/H)^2 + (w/W)^2 (DCT) or its four-corner minimum
     (DFT), so parameters transfer across resolutions. Zone boundaries sit at
-    d0 = 2*r1^2 and d0 = 2*r2^2.
+    d0 = 2*r1^2 and d0 = 2*r2^2; the two-zone mask is lambda1 = lambda2 or r1 = r2.
     """
 
     lambda1: float
@@ -31,7 +31,6 @@ class FreqFilterParams:
     r1: float
     r2: float
     transform: str = DCT
-    zones: int = 3
 
     def __post_init__(self):
         if not (0 < self.r1 <= self.r2):
@@ -40,15 +39,19 @@ class FreqFilterParams:
             raise ValueError("lambda1 and lambda2 must be positive")
         if self.transform not in (DCT, DFT):
             raise ValueError(f"unknown transform {self.transform!r}")
-        if self.zones not in (2, 3):
-            raise ValueError("zones must be 2 or 3")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FreqFilterParams":
-        return cls(**json.loads(text))
+        fields = json.loads(text)
+        # Files from earlier versions carry "zones": 3. The mask has always had
+        # three zones, so any other count would be silently ignored.
+        if fields.pop("zones", 3) != 3:
+            raise ValueError("zones is not a parameter; two zones are lambda1 == lambda2 "
+                             "or r1 == r2")
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

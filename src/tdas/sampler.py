@@ -1,10 +1,14 @@
-"""Annealed Langevin sampling: the plain loop, its filtered variant, and the
-conjugated (transform-domain) variant used by the equivalence harness.
+"""Annealed Langevin sampling: one loop, four entry points.
+
+Vanilla sampling is the identity noise regulator, TDAS regulates each step's
+noise with apply_tdas, the transform-domain variant used by the equivalence
+harness conjugates the loop by an orthogonal map, and sample_batch runs a stack
+of chains with per-chain noise streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +37,6 @@ class SamplerConfig:
     eps0: float
     accel_factor: float = 1.0
     transform: str = DCT
-    record_trajectory: bool = False
     denoise_final: bool = False
 
     def __post_init__(self):
@@ -55,95 +58,77 @@ class SamplerConfig:
                 t += 1
 
 
-@dataclass
-class Trajectory:
-    states: list = field(default_factory=list)
-
-    def append(self, x):
-        self.states.append(np.array(x, copy=True))
-
-    def __len__(self):
-        return len(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
+def _same(z):
+    return z
 
 
-def _score_fn(model: ScoreModel, batched: bool):
-    if not batched or hasattr(model, "score_batch"):
-        return getattr(model, "score_batch", model.score)
+def _batched(model: ScoreModel):
+    """Score of a (B, C, H, W) stack; per-chain calls for models without score_batch."""
+    if hasattr(model, "score_batch"):
+        return model.score_batch
     return lambda x, sigma: np.stack([model.score(xi, sigma) for xi in x])
 
 
-def _check_finite(x, step):
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(step)
+def _anneal(score, cfg: SamplerConfig, draw, regulate=_same, fmap: OrthogonalMap | None = None,
+            max_steps=None, observe=None):
+    """The annealed Langevin loop behind every entry point; leading axes pass through.
 
+    draw() gives a standard-normal block and regulate(z) filters it (apply_tdas,
+    or the identity for unfiltered sampling); the initial state and every step's
+    noise are regulate(draw()). With fmap the state lives in the transform domain:
+    the score is evaluated by mapping back, noise enters as F[regulate(z)], and the
+    result is mapped back before the optional final denoising step. observe(state)
+    sees the initial state and the state after every step; states are never
+    updated in place, so an observer may keep them without copying.
+    """
+    step_score, noise = score, lambda: regulate(draw())
+    if fmap is not None:
+        step_score = lambda xt, sigma: fmap.forward(score(fmap.inverse(xt), sigma))
+        noise = lambda: fmap.forward(regulate(draw()))
+    x = noise()
+    if observe is not None:
+        observe(x)
+    for t, sigma, eps in cfg.schedule():
+        if max_steps is not None and t >= max_steps:
+            break
+        eta = noise()
+        x = x + (eps / 2.0) * step_score(x, sigma) + np.sqrt(eps) * eta
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(t)
+        if observe is not None:
+            observe(x)
+    if fmap is not None:
+        x = fmap.inverse(x)
+    if cfg.denoise_final:
+        x = x + cfg.levels.sigma_min**2 * score(x, cfg.levels.sigma_min)
+    return x
+
+
+# The entry points below are thin calls into _anneal and never call each other,
+# so a wrapper around one of them sees each chain step once.
 
 def langevin_sample(model, cfg: SamplerConfig, src: NoiseSource, space: SpaceFilter,
-                    freq: np.ndarray, max_steps=None):
-    """Filtered annealed Langevin loop: init and every noise pass through the masks."""
+                    freq: np.ndarray):
+    """Filtered annealed Langevin chain: init and every noise pass through the masks."""
     shape = space.mask.shape
-    z = draw_normal(src, shape)
-    x = apply_tdas(z, space, freq, cfg.transform)
-    traj = Trajectory() if cfg.record_trajectory else None
-    if traj is not None:
-        traj.append(x)
-    for t, sigma, eps in cfg.schedule():
-        if max_steps is not None and t >= max_steps:
-            break
-        z = draw_normal(src, shape)
-        eta = apply_tdas(z, space, freq, cfg.transform)
-        x = x + (eps / 2.0) * model.score(x, sigma) + np.sqrt(eps) * eta
-        _check_finite(x, t)
-        if traj is not None:
-            traj.append(x)
-    if cfg.denoise_final:
-        x = x + cfg.levels.sigma_min**2 * model.score(x, cfg.levels.sigma_min)
-    return (x, traj) if traj is not None else x
+    return _anneal(model.score, cfg, lambda: draw_normal(src, shape),
+                   lambda z: apply_tdas(z, space, freq, cfg.transform))
 
 
-def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, max_steps=None):
-    """Unfiltered annealed Langevin loop (the all-ones-mask special case, written out)."""
-    x = draw_normal(src, shape)
-    traj = Trajectory() if cfg.record_trajectory else None
-    if traj is not None:
-        traj.append(x)
-    for t, sigma, eps in cfg.schedule():
-        if max_steps is not None and t >= max_steps:
-            break
-        eta = draw_normal(src, shape)
-        x = x + (eps / 2.0) * model.score(x, sigma) + np.sqrt(eps) * eta
-        _check_finite(x, t)
-        if traj is not None:
-            traj.append(x)
-    if cfg.denoise_final:
-        x = x + cfg.levels.sigma_min**2 * model.score(x, cfg.levels.sigma_min)
-    return (x, traj) if traj is not None else x
+def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, max_steps=None,
+                   observe=None):
+    """Unfiltered annealed Langevin chain (the all-ones-mask case)."""
+    return _anneal(model.score, cfg, lambda: draw_normal(src, shape),
+                   max_steps=max_steps, observe=observe)
 
 
 def freq_domain_sample(model, cfg: SamplerConfig, src: NoiseSource, shape,
-                       fmap: OrthogonalMap | None = None, max_steps=None):
-    """Langevin loop conjugated by an orthogonal map: state lives in the transform
-    domain, the score is evaluated by mapping back, and noise enters as F[z]."""
-    if fmap is None:
-        fmap = Dct2Map()
-    z = draw_normal(src, shape)
-    xt = fmap.forward(z)
-    traj = Trajectory() if cfg.record_trajectory else None
-    if traj is not None:
-        traj.append(xt)
-    for t, sigma, eps in cfg.schedule():
-        if max_steps is not None and t >= max_steps:
-            break
-        z = draw_normal(src, shape)
-        score = fmap.forward(model.score(fmap.inverse(xt), sigma))
-        xt = xt + (eps / 2.0) * score + np.sqrt(eps) * fmap.forward(z)
-        _check_finite(xt, t)
-        if traj is not None:
-            traj.append(xt)
-    x = fmap.inverse(xt)
-    return (x, traj) if traj is not None else x
+                       fmap: OrthogonalMap | None = None, max_steps=None, observe=None):
+    """Unfiltered chain conjugated by an orthogonal map (DCT by default): the
+    state, and what observe sees, live in the transform domain."""
+    return _anneal(model.score, cfg, lambda: draw_normal(src, shape),
+                   fmap=Dct2Map() if fmap is None else fmap, max_steps=max_steps,
+                   observe=observe)
 
 
 def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
@@ -163,16 +148,5 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     if freq is None:
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
-    score = _score_fn(model, batched=True)
-
-    def draw_block():
-        return np.stack([draw_normal(s, shape) for s in sources])
-
-    x = apply_tdas(draw_block(), space, freq, cfg.transform)
-    for t, sigma, eps in cfg.schedule():
-        eta = apply_tdas(draw_block(), space, freq, cfg.transform)
-        x = x + (eps / 2.0) * score(x, sigma) + np.sqrt(eps) * eta
-        _check_finite(x, t)
-    if cfg.denoise_final:
-        x = x + cfg.levels.sigma_min**2 * score(x, cfg.levels.sigma_min)
-    return x
+    draw = lambda: np.stack([draw_normal(s, shape) for s in sources])
+    return _anneal(_batched(model), cfg, draw, lambda z: apply_tdas(z, space, freq, cfg.transform))

@@ -26,17 +26,15 @@ def check_theorem1(model, cfg: SamplerConfig, seed: int, steps: int, shape=(1, 1
     """
     if fmap is None:
         fmap = Dct2Map()
-    cfg = SamplerConfig(
-        levels=cfg.levels, eps0=cfg.eps0, accel_factor=cfg.accel_factor,
-        transform=cfg.transform, record_trajectory=True, denoise_final=False,
-    )
-    _, traj_space = vanilla_sample(model, cfg, NoiseSource(seed), shape, max_steps=steps)
-    _, traj_freq = freq_domain_sample(model, cfg, NoiseSource(seed), shape,
-                                      fmap=fmap, max_steps=steps)
+    traj_space, traj_freq = [], []
+    vanilla_sample(model, cfg, NoiseSource(seed), shape, max_steps=steps,
+                   observe=traj_space.append)
+    freq_domain_sample(model, cfg, NoiseSource(seed), shape, fmap=fmap, max_steps=steps,
+                       observe=traj_freq.append)
     assert len(traj_space) == len(traj_freq)
     return max(
         float(np.max(np.abs(xf - fmap.forward(xs))))
-        for xs, xf in zip(traj_space.states, traj_freq.states)
+        for xs, xf in zip(traj_space, traj_freq)
     )
 
 

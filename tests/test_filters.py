@@ -20,8 +20,24 @@ from tdas.transforms import dct2, idct2
 
 class TestFreqFilterParams:
     def test_json_roundtrip(self):
-        p = FreqFilterParams(0.9, 0.7, 0.2, 0.4, transform=DFT, zones=3)
+        p = FreqFilterParams(0.9, 0.7, 0.2, 0.4, transform=DFT)
         assert FreqFilterParams.from_json(p.to_json()) == p
+
+    def test_loads_json_with_legacy_zones_key(self):
+        text = """{
+  "lambda1": 0.9,
+  "lambda2": 0.7,
+  "r1": 0.2,
+  "r2": 0.4,
+  "transform": "dct",
+  "zones": 3
+}"""
+        assert FreqFilterParams.from_json(text) == FreqFilterParams(0.9, 0.7, 0.2, 0.4)
+
+    def test_rejects_json_asking_for_another_zone_count(self):
+        text = '{"lambda1": 0.9, "lambda2": 0.7, "r1": 0.2, "r2": 0.4, "zones": 2}'
+        with pytest.raises(ValueError):
+            FreqFilterParams.from_json(text)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -69,7 +85,7 @@ class TestFreqMask:
         assert np.all(mask[0][d0 > 2 * p.r2**2] == 0.3)
 
     def test_two_zone_as_degenerate_three(self):
-        p = FreqFilterParams(0.5, 0.5, 0.3, 0.3, zones=2)
+        p = FreqFilterParams(0.5, 0.5, 0.3, 0.3)
         mask = build_freq_mask(p, (1, 8, 8))
         assert set(np.unique(mask)) <= {1.0, 0.5}
 

@@ -12,6 +12,7 @@ from tdas.sampler import (
     vanilla_sample,
 )
 from tdas.scores import GaussianScore, geometric_levels
+from tdas.transforms import Dct2Map
 
 
 def make_cfg(**kw):
@@ -53,15 +54,17 @@ class TestLoops:
 
     def test_trajectory_recording(self):
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
-        cfg = make_cfg(record_trajectory=True)
-        x, traj = vanilla_sample(model, cfg, NoiseSource(0), (1, 4, 4))
+        cfg = make_cfg()
+        traj = []
+        x = vanilla_sample(model, cfg, NoiseSource(0), (1, 4, 4), observe=traj.append)
         assert len(traj) == cfg.total_steps + 1
         assert np.array_equal(traj[-1], x)
 
     def test_max_steps_truncates(self):
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
-        cfg = make_cfg(record_trajectory=True)
-        _, traj = vanilla_sample(model, cfg, NoiseSource(0), (1, 4, 4), max_steps=7)
+        traj = []
+        vanilla_sample(model, make_cfg(), NoiseSource(0), (1, 4, 4), max_steps=7,
+                       observe=traj.append)
         assert len(traj) == 8
 
     def test_divergence_detected(self):
@@ -99,6 +102,23 @@ class TestFreqDomainLoop:
         x_space = vanilla_sample(model, cfg, NoiseSource(4), (1, 8, 8))
         x_conj = freq_domain_sample(model, cfg, NoiseSource(4), (1, 8, 8))
         assert np.allclose(x_space, x_conj, atol=1e-10)
+
+    def test_denoise_final_honoured(self):
+        model = GaussianScore(np.zeros((1, 8, 8)), 1.0)
+        cfg = make_cfg(denoise_final=True)
+        x_space = vanilla_sample(model, cfg, NoiseSource(4), (1, 8, 8))
+        x_conj = freq_domain_sample(model, cfg, NoiseSource(4), (1, 8, 8))
+        assert np.allclose(x_space, x_conj, rtol=0, atol=1e-10)
+
+    def test_observer_sees_transform_domain_states_before_denoising(self):
+        model = GaussianScore(np.zeros((1, 8, 8)), 1.0)
+        fmap = Dct2Map()
+        traj = []
+        freq_domain_sample(model, make_cfg(denoise_final=True), NoiseSource(4), (1, 8, 8),
+                           fmap=fmap, observe=traj.append)
+        plain = freq_domain_sample(model, make_cfg(), NoiseSource(4), (1, 8, 8), fmap=fmap)
+        assert len(traj) == make_cfg().total_steps + 1
+        assert np.array_equal(fmap.inverse(traj[-1]), plain)
 
 
 class TestSampleBatch:

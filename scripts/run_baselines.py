@@ -10,9 +10,16 @@ constants change, and review the diff.
 """
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread, set before numpy is imported: BLAS reductions split
+# differently across thread counts, so the frozen margins reproduce to the last
+# digit only at a fixed count.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 

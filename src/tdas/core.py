@@ -84,8 +84,9 @@ class NoiseSource:
 
     @classmethod
     def for_worker(cls, master_seed: int, worker: int) -> "NoiseSource":
-        # One independent child stream per worker, stable under scheduling.
-        child = np.random.SeedSequence(master_seed).spawn(worker + 1)[worker]
+        # One independent child stream per worker, stable under scheduling: the
+        # same child as SeedSequence(master_seed).spawn(worker + 1)[worker].
+        child = np.random.SeedSequence(master_seed, spawn_key=(worker,))
         src = cls.__new__(cls)
         src.seed = master_seed
         src.position = 0

@@ -9,6 +9,7 @@ thresholds for the acceptance suite.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,15 @@ def generate_samples(model, total_steps: int, n_samples: int, master_seed: int,
     return ImageDataset(x)
 
 
+@lru_cache(maxsize=2)
+def _reference(spec: SynthSpec, n_samples: int):
+    """Exact score of spec's dataset and its T=REF_STEPS reference run (master seed
+    1000), built once per process: the acceleration experiment and the calibration
+    trend share the structured one. Callers must not modify what it returns."""
+    model = EmpiricalScore(generate(spec))
+    return model, generate_samples(model, REF_STEPS, n_samples, master_seed=1000)
+
+
 def calibrate_from_sets(generated: ImageDataset, reference: ImageDataset,
                         transform: str = DCT, direction: str = SGM):
     g = ratio_grid(freq_power_stats(generated, transform), freq_power_stats(reference, transform))
@@ -66,9 +76,7 @@ def run_acceleration_experiment(spec: SynthSpec = STRUCTURED_SPEC,
                                 n_samples: int = N_SAMPLES) -> dict:
     """Reference at T=2000, vanilla and filtered runs at T=200 (10x), filter
     parameters calibrated from the degraded vanilla run. Returns all metrics."""
-    ds = generate(spec)
-    model = EmpiricalScore(ds)
-    reference = generate_samples(model, REF_STEPS, n_samples, master_seed=1000)
+    model, reference = _reference(spec, n_samples)
     vanilla = generate_samples(model, FAST_STEPS, n_samples, master_seed=2000)
     params = calibrate_from_sets(vanilla, reference, DCT, SGM)
     freq = build_freq_mask(params, spec.shape)
@@ -99,9 +107,7 @@ def run_negative_control(n_samples: int = N_SAMPLES) -> dict:
     finds no quantile crossing; calibration then declines to suppress anything
     and the run proceeds with the identity filter.
     """
-    ds = generate(UNSTRUCTURED_SPEC)
-    model = EmpiricalScore(ds)
-    reference = generate_samples(model, REF_STEPS, n_samples, master_seed=1000)
+    model, reference = _reference(UNSTRUCTURED_SPEC, n_samples)
     vanilla = generate_samples(model, FAST_STEPS, n_samples, master_seed=2000)
     try:
         params = calibrate_from_sets(vanilla, reference, DCT, SGM)
@@ -126,9 +132,7 @@ def run_calibration_trend(iteration_counts=(400, 200, 100, 50),
     """Calibrated (lambda1, lambda2) per generating iteration count, against a
     shared large-T reference. Fewer iterations mean more high-frequency excess,
     so both lambdas should fall as the counts shrink."""
-    ds = generate(STRUCTURED_SPEC)
-    model = EmpiricalScore(ds)
-    reference = generate_samples(model, REF_STEPS, n_samples, master_seed=1000)
+    model, reference = _reference(STRUCTURED_SPEC, n_samples)
     ref_stats = freq_power_stats(reference, transform)
     rows = []
     for steps in iteration_counts:

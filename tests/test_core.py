@@ -56,6 +56,14 @@ class TestNoiseSource:
         assert np.array_equal(a0, again)
         assert not np.array_equal(a0, a1)
 
+    @pytest.mark.parametrize("master", [0, 5, 2000])
+    @pytest.mark.parametrize("worker", [0, 1, 7, 199])
+    def test_worker_stream_is_spawned_child(self, master, worker):
+        # Oracle: the worker-th of worker + 1 children spawned from the master seed.
+        child = np.random.SeedSequence(master).spawn(worker + 1)[worker]
+        expected = np.random.Generator(np.random.PCG64(child)).standard_normal((64,))
+        assert np.array_equal(NoiseSource.for_worker(master, worker).normal((64,)), expected)
+
     def test_rejects_empty_dims(self):
         with pytest.raises(ValueError):
             NoiseSource(0).normal((0, 4))

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from tdas.core import ImageDataset, NoiseSource
-from tdas.scores import EmpiricalScore, GaussianScore, NoiseLevels, geometric_levels
+from tdas.scores import EmpiricalScore, GaussianScore, NoiseLevels, _row_logsumexp, geometric_levels
+
+TINY = np.finfo(np.float64).tiny
 
 
 def numeric_grad(log_density, x, h=1e-5):
@@ -75,6 +78,70 @@ class TestEmpiricalScore:
         src = NoiseSource(3)
         draw = m.sample_target(src)
         assert any(np.array_equal(draw, item) for item in small_dataset.items)
+
+
+class _MatmulRecorder(np.ndarray):
+    """Array that records the left operand of every `left @ self`. Views such as
+    self.T do not inherit left_operands, so products with them go unrecorded."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self and hasattr(self, "left_operands"):
+            self.left_operands.append(np.array(inputs[0]))
+        inputs = tuple(np.asarray(a) for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestSubnormalWeights:
+    SIGMA = 0.12
+
+    def test_score_batch_keeps_subnormal_weights_out_of_matmul(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        ds = ImageDataset(rng.standard_normal((40, 1, 4, 4)))
+        x = ds.items[:6] + 0.3 * rng.standard_normal((6, 1, 4, 4))
+        flat, xf = ds.items.reshape(len(ds), -1), x.reshape(len(x), -1)
+        # The unflushed formula: scipy logsumexp, weights used as they come.
+        sq = (np.sum(xf**2, axis=1, keepdims=True) + np.sum(flat**2, axis=1)[None, :]
+              - 2.0 * xf @ flat.T)
+        logits = -sq / (2.0 * self.SIGMA**2)
+        w = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        assert np.any((w > 0) & (w < TINY)), "case must produce subnormal weights"
+        expected = ((w @ flat - xf) / self.SIGMA**2).reshape(x.shape)
+
+        m = EmpiricalScore(ds)
+        m._flat = m._flat.view(_MatmulRecorder)
+        m._flat.left_operands = []
+        out = m.score_batch(x, self.SIGMA)
+        (reached,) = m._flat.left_operands
+        assert reached.shape == w.shape
+        assert np.all((reached == 0) | (reached >= TINY))
+        assert np.array_equal(np.asarray(out), expected)
+
+
+class TestRowLogsumexp:
+    def check(self, a):
+        assert np.array_equal(_row_logsumexp(a), logsumexp(a, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e3, 1e5])
+    def test_random_rows(self, rng, scale):
+        self.check(scale * rng.standard_normal((20, 300)))
+
+    def test_tied_maximum(self, rng):
+        a = rng.standard_normal((6, 50))
+        a[:, [3, 17, 40]] = a.max(axis=1, keepdims=True) + 0.5
+        a[0, 9] = a[0, 3]
+        self.check(a)
+
+    def test_one_hot_rows(self, rng):
+        a = -1e5 + rng.standard_normal((5, 64))
+        a[np.arange(5), [0, 7, 63, 20, 7]] = 0.0
+        self.check(a)
+
+    def test_subnormal_shifted_entries(self, rng):
+        a = -rng.uniform(708.0, 745.0, size=(8, 100))
+        a[:, 0] = rng.standard_normal(8)
+        shifted = np.exp(a - a.max(axis=1, keepdims=True))
+        assert np.any((shifted > 0) & (shifted < TINY))
+        self.check(a)
 
 
 class TestNoiseLevels:

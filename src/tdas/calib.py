@@ -9,6 +9,7 @@ below for the DDPM-style direction where kappa decreases).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -77,15 +78,15 @@ def freq_power_stats(samples: ImageDataset, transform: str = DCT) -> FreqStats:
     return FreqStats(spec_sq.mean(axis=(0, 1)), transform, len(samples))
 
 
-def ratio_grid(generated: FreqStats, reference: FreqStats, floor: float = RATIO_FLOOR) -> RatioGrid:
+def ratio_grid(generated: FreqStats, reference: FreqStats) -> RatioGrid:
     if generated.power.shape != reference.power.shape or generated.transform != reference.transform:
         raise ValueError("stats must share shape and transform")
-    tiny = reference.power < floor
+    tiny = reference.power < RATIO_FLOOR
     clamped = int(tiny.sum())
     if clamped:
-        log.warning("ratio_grid: %d reference cells below floor %g were clamped", clamped, floor)
-    denom = np.maximum(reference.power, floor)
-    gamma = np.maximum(generated.power, floor) / denom
+        log.warning("ratio_grid: %d reference cells below floor %g were clamped", clamped, RATIO_FLOOR)
+    denom = np.maximum(reference.power, RATIO_FLOOR)
+    gamma = np.maximum(generated.power, RATIO_FLOOR) / denom
     return RatioGrid(gamma, generated.transform, clamped)
 
 
@@ -101,31 +102,28 @@ def quantile(values, alpha: float) -> float:
     return float(ordered[k - 1])
 
 
-def kappa(g: RatioGrid, r: float, distance: str | None = None) -> float:
+def kappa(g: RatioGrid, r: float) -> float:
     """Mean of gamma over cells with normalized d0(h, w) >= 2 r^2."""
-    distance = distance or g.transform
     height, width = g.gamma.shape
-    d0 = radial_distance_grid(height, width, distance)
+    d0 = radial_distance_grid(height, width, g.transform)
     region = d0 >= 2.0 * r * r
     if not region.any():
         raise ValueError(f"empty region outside radius r={r}")
     return float(g.gamma[region].mean())
 
 
-def kappa_curve(g: RatioGrid, distance: str | None = None):
-    """(r, kappa(r)) on the radial grid r = k / max(H, W), while the region is non-empty."""
+def kappa_curve(g: RatioGrid):
+    """(r, kappa(g, r)) on the radial grid r = k / max(H, W), while the region is non-empty."""
     height, width = g.gamma.shape
+    d0 = radial_distance_grid(height, width, g.transform)
     step = 1.0 / max(height, width)
     curve = []
-    k = 0
-    while True:
+    for k in itertools.count():
         r = k * step
-        try:
-            curve.append((r, kappa(g, r, distance)))
-        except ValueError:
-            break
-        k += 1
-    return curve
+        region = d0 >= 2.0 * r * r
+        if not region.any():
+            return curve
+        curve.append((r, float(g.gamma[region].mean())))
 
 
 def _first_crossing(curve, level, from_below: bool):
@@ -163,12 +161,13 @@ def calc_freq_params(g: RatioGrid, direction: str = SGM, transform: str | None =
     reaches those quantiles from below. DDPM direction (kappa decreasing):
     quantiles Q_0.25 and Q_0.1, crossings from above. Ties resolve to the
     smallest r; results are clamped to at least one grid step so the pass
-    zone always contains the DC bin.
+    zone always contains the DC bin. transform, if given, must be g.transform.
     """
-    transform = transform or g.transform
+    if transform is not None and transform != g.transform:
+        raise ValueError(f"ratio grid is in {g.transform!r}, not {transform!r}")
     s = g.gamma.ravel()
     ave = float(s.mean())
-    curve = kappa_curve(g, transform)
+    curve = kappa_curve(g)
     q1, q2, from_below = _direction_quantiles(s, direction)
     r1 = _first_crossing(curve, q1, from_below)
     r2 = _first_crossing(curve, q2, from_below)
@@ -179,7 +178,7 @@ def calc_freq_params(g: RatioGrid, direction: str = SGM, transform: str | None =
     step = 1.0 / max(g.gamma.shape)
     r1 = max(r1, step)
     r2 = max(r2, r1)
-    return FreqFilterParams(lambda1=ave / q1, lambda2=ave / q2, r1=r1, r2=r2, transform=transform)
+    return FreqFilterParams(lambda1=ave / q1, lambda2=ave / q2, r1=r1, r2=r2, transform=g.transform)
 
 
 def write_kappa_csv(curve, path) -> None:

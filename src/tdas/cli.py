@@ -157,20 +157,18 @@ def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
             steps_per_level = iterations // int(lv["levels"])
         levels = geometric_levels(float(lv["sigma_max"]), float(lv["sigma_min"]),
                                   int(lv["levels"]), steps_per_level)
-        sampler_cfg = SamplerConfig(levels=levels, eps0=float(cfg["eps0"]),
-                                    accel_factor=float(cfg.get("accel_factor", 1.0)))
         model = _build_model(cfg)
-        if cfg.get("vanilla", False):
-            space, freq = None, None
-        else:
+        space, freq, transform = None, None, DCT
+        if not cfg.get("vanilla", False):
             space = SpaceFilter(load_tensor(cfg["space_mask"])) if cfg.get("space_mask") else None
             if cfg.get("freq_params"):
                 params = FreqFilterParams.from_json(Path(cfg["freq_params"]).read_text())
-                freq = build_freq_mask(params, shape)
+                freq, transform = build_freq_mask(params, shape), params.transform
             elif cfg.get("freq_mask"):
                 freq = load_tensor(cfg["freq_mask"])
-            else:
-                freq = None
+        sampler_cfg = SamplerConfig(levels=levels, eps0=float(cfg["eps0"]),
+                                    accel_factor=float(cfg.get("accel_factor", 1.0)),
+                                    transform=transform)
         master_seed = int(cfg["seed"])
         n_samples = int(cfg.get("n_samples", 1))
         mw = ManifestWriter("sample", cfg, master_seed)
@@ -213,9 +211,9 @@ def cmd_calibrate(reference_dir, generated_dir, direction, transform, out_path, 
         g = ratio_grid(freq_power_stats(gen, transform), freq_power_stats(ref, transform))
         mw.phase("stats")
         if curve_path:
-            write_kappa_csv(kappa_curve(g, transform), curve_path)
+            write_kappa_csv(kappa_curve(g), curve_path)
             mw.output(curve_path)
-        params = calc_freq_params(g, direction, transform)
+        params = calc_freq_params(g, direction)
         Path(out_path).write_text(params.to_json() + "\n")
         mw.output(out_path)
         mw.write(Path(out_path).parent or ".")
@@ -309,8 +307,6 @@ def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
         click.echo(text)
         if not report["passed"]:
             sys.exit(EXIT_VALIDATION_FAILURE)
-    except SystemExit:
-        raise
     except Exception as e:  # noqa: BLE001
         _fail(str(e))
 

@@ -69,7 +69,7 @@ def _reference(spec: SynthSpec, n_samples: int):
 def calibrate_from_sets(generated: ImageDataset, reference: ImageDataset,
                         transform: str = DCT, direction: str = SGM):
     g = ratio_grid(freq_power_stats(generated, transform), freq_power_stats(reference, transform))
-    return calc_freq_params(g, direction, transform)
+    return calc_freq_params(g, direction)
 
 
 def run_acceleration_experiment(spec: SynthSpec = STRUCTURED_SPEC,
@@ -143,7 +143,7 @@ def run_calibration_trend(iteration_counts=(400, 200, 100, 50),
         lam1, lam2 = calc_lambda_pair(g, SGM)
         row = {"iterations": steps, "lambda1": lam1, "lambda2": lam2}
         try:
-            p = calc_freq_params(g, SGM, transform)
+            p = calc_freq_params(g, SGM)
             row.update(r1=p.r1, r2=p.r2)
         except CalibrationError:
             pass

@@ -144,6 +144,8 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
         if shape is None:
             raise ValueError("need either a space mask or an explicit shape")
         space = identity_space_mask(shape)
+    elif shape is not None and tuple(shape) != space.mask.shape:
+        raise ValueError(f"shape {tuple(shape)} disagrees with the space mask's {space.mask.shape}")
     shape = space.mask.shape
     if freq is None:
         freq = np.ones(shape)

@@ -120,6 +120,19 @@ class TestKappa:
         assert radii[0] == 0.0
         assert np.allclose(np.diff(radii), 1 / 16)
 
+    @pytest.mark.parametrize("transform", [DCT, DFT])
+    @pytest.mark.parametrize("shape", [(1, 5), (7, 13), (16, 16), (33, 32)])
+    def test_curve_is_kappa_at_each_grid_radius(self, shape, transform):
+        # The scan builds its radial grid once; point for point it must give
+        # exactly what kappa(g, r) gives, and stop where kappa's region empties.
+        rng = np.random.default_rng(11)
+        g = RatioGrid(0.1 + rng.gamma(2.0, 1.0, size=shape), transform)
+        curve = kappa_curve(g)
+        step = 1.0 / max(shape)
+        assert curve == [(k * step, kappa(g, k * step)) for k in range(len(curve))]
+        with pytest.raises(ValueError):
+            kappa(g, len(curve) * step)
+
     def test_empty_region_raises(self):
         g = synthetic_ratio()
         with pytest.raises(ValueError):
@@ -180,6 +193,14 @@ class TestCalcParams:
         g = synthetic_ratio()
         g3 = RatioGrid(3.0 * g.gamma, g.transform)
         assert np.allclose(calc_lambda_pair(g, SGM), calc_lambda_pair(g3, SGM))
+
+    def test_transform_other_than_the_grids_is_refused(self):
+        # Radii measured in the DFT layout on a DCT grid would give a mask for
+        # the wrong geometry.
+        g = synthetic_ratio(transform=DCT)
+        with pytest.raises(ValueError):
+            calc_freq_params(g, SGM, DFT)
+        assert calc_freq_params(g, SGM, DCT) == calc_freq_params(g, SGM)
 
     def test_unknown_direction(self):
         with pytest.raises(ValueError):

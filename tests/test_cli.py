@@ -5,6 +5,9 @@ from click.testing import CliRunner
 
 from tdas.cli import main
 from tdas.core import load_dataset, load_tensor
+from tdas.filters import DCT, DFT, FreqFilterParams, build_freq_mask
+from tdas.sampler import SamplerConfig, sample_batch
+from tdas.scores import EmpiricalScore, geometric_levels
 
 
 def invoke(*args):
@@ -82,6 +85,25 @@ class TestSample:
     def test_missing_config_errors_cleanly(self, tmp_path):
         res = invoke("sample", str(tmp_path / "nope.json"))
         assert res.exit_code != 0
+
+    def test_dft_freq_params_filter_in_the_dft_basis(self, tmp_path):
+        # The mask from DFT parameters has the DFT corner geometry, so the
+        # sampler must filter with the DFT too.
+        ds = make_data(tmp_path)
+        params = FreqFilterParams(lambda1=0.6, lambda2=0.3, r1=0.2, r2=0.4, transform=DFT)
+        params_path = tmp_path / "p.json"
+        params_path.write_text(params.to_json())
+        cfg = write_run_config(tmp_path, ds, freq_params=str(params_path))
+        res = invoke("sample", str(cfg))
+        assert res.exit_code == 0, res.output
+        out = load_dataset(tmp_path / "run" / "tensors").items
+        model = EmpiricalScore(load_dataset(ds))
+        freq = build_freq_mask(params, (1, 8, 8))
+        levels = geometric_levels(1.0, 0.1, 5, 2)
+        expected = {t: sample_batch(model, SamplerConfig(levels=levels, eps0=0.001, transform=t),
+                                    21, 3, freq=freq, shape=(1, 8, 8)) for t in (DCT, DFT)}
+        assert np.array_equal(out, expected[DFT])
+        assert not np.array_equal(out, expected[DCT])
 
     def test_bad_iterations_exit_one(self, tmp_path):
         ds = make_data(tmp_path)

@@ -141,3 +141,11 @@ class TestSampleBatch:
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
         with pytest.raises(ValueError):
             sample_batch(model, make_cfg(), 0, 2)
+
+    def test_rejects_shape_that_disagrees_with_space_mask(self):
+        model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
+        space = identity_space_mask((1, 4, 4))
+        with pytest.raises(ValueError):
+            sample_batch(model, make_cfg(), 0, 2, space=space, shape=(1, 8, 8))
+        agreeing = sample_batch(model, make_cfg(), 0, 2, space=space, shape=[1, 4, 4])
+        assert np.array_equal(agreeing, sample_batch(model, make_cfg(), 0, 2, space=space))

@@ -9,7 +9,6 @@ below for the DDPM-style direction where kappa decreases).
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -26,6 +25,11 @@ SGM = "sgm"
 DDPM = "ddpm"
 
 RATIO_FLOOR = 1e-12
+
+# freq_power_stats transforms at most this many bytes of images at once (one
+# image if a single one is larger). The DFT of a block peaks at four times its
+# size: a complex output and the transform's complex intermediate.
+_STATS_BLOCK_BYTES = 4 << 20
 
 
 class CalibrationError(Exception):
@@ -68,14 +72,25 @@ class RatioGrid:
 
 
 def freq_power_stats(samples: ImageDataset, transform: str = DCT) -> FreqStats:
-    """power(h, w) = mean over samples and channels of the squared spectrum."""
-    if transform == DCT:
-        spec_sq = dct2(samples.items) ** 2
-    elif transform == DFT:
-        spec_sq = np.abs(dft2(samples.items)) ** 2
-    else:
+    """power(h, w) = mean over samples and channels of the squared spectrum.
+
+    The images are transformed a block at a time and each squared (image,
+    channel) plane is added in order into one H x W sum: the sum a mean over
+    all the stacked spectra takes, bit for bit, without holding them.
+    """
+    if transform not in (DCT, DFT):
         raise ValueError(f"unknown transform {transform!r}")
-    return FreqStats(spec_sq.mean(axis=(0, 1)), transform, len(samples))
+    items = samples.items
+    count, channels, height, width = items.shape
+    per_block = max(1, _STATS_BLOCK_BYTES // items[0].nbytes)
+    total = np.zeros((height, width))
+    for start in range(0, count, per_block):
+        block = items[start:start + per_block]
+        power = dct2(block) if transform == DCT else np.abs(dft2(block))
+        np.square(power, out=power)
+        for plane in power.reshape(-1, height, width):
+            total += plane
+    return FreqStats(total / (count * channels), transform, len(samples))
 
 
 def ratio_grid(generated: FreqStats, reference: FreqStats) -> RatioGrid:
@@ -92,38 +107,62 @@ def ratio_grid(generated: FreqStats, reference: FreqStats) -> RatioGrid:
 
 def quantile(values, alpha: float) -> float:
     """Order-statistic quantile: the smallest x in S with #{y in S : y <= x} >= alpha * #S."""
+    return _quantiles(values, (alpha,))[0]
+
+
+def _quantiles(values, alphas):
+    """quantile(values, alpha) for each alpha, from one sort of the multiset."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("quantile of an empty set")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    for alpha in alphas:
+        if not 0 < alpha <= 1:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     ordered = np.sort(values)
-    k = math.ceil(alpha * values.size - 1e-12)
-    return float(ordered[k - 1])
+    return [float(ordered[math.ceil(alpha * values.size - 1e-12) - 1]) for alpha in alphas]
+
+
+def _scan_bins(g: RatioGrid):
+    """Flattened d0 and each cell's index on the scan grid r_k = k / max(H, W):
+    the largest k with d0 >= 2 r_k^2, thresholds built as kappa builds them."""
+    height, width = g.gamma.shape
+    d0 = radial_distance_grid(height, width, g.transform).ravel()
+    r = np.arange(max(height, width) + 2) * (1.0 / max(height, width))
+    return np.searchsorted(2.0 * r * r, d0, side="right") - 1, d0
+
+
+def _outer_sums(bin_sums):
+    """Suffix sums of per-bin sums, added outermost bin first. A total minus a
+    prefix would cancel on the small outer regions."""
+    return np.cumsum(bin_sums[::-1])[::-1]
 
 
 def kappa(g: RatioGrid, r: float) -> float:
-    """Mean of gamma over cells with normalized d0(h, w) >= 2 r^2."""
-    height, width = g.gamma.shape
-    d0 = radial_distance_grid(height, width, g.transform)
+    """Mean of gamma over cells with normalized d0(h, w) >= 2 r^2.
+
+    The region is summed per scan bin, outermost bin first, so on the scan
+    grid this is kappa_curve's value bit for bit.
+    """
+    bins, d0 = _scan_bins(g)
     region = d0 >= 2.0 * r * r
     if not region.any():
         raise ValueError(f"empty region outside radius r={r}")
-    return float(g.gamma[region].mean())
+    bin_sums = np.bincount(bins[region], weights=g.gamma.ravel()[region])
+    return float(_outer_sums(bin_sums)[0] / region.sum())
+
+
+def _radial_scan(g: RatioGrid):
+    """Sum and size of the region d0 >= 2 r_k^2 for every scan radius r_k
+    whose region is non-empty, in one pass over the grid."""
+    bins, _ = _scan_bins(g)
+    return _outer_sums(np.bincount(bins, weights=g.gamma.ravel())), _outer_sums(np.bincount(bins))
 
 
 def kappa_curve(g: RatioGrid):
     """(r, kappa(g, r)) on the radial grid r = k / max(H, W), while the region is non-empty."""
-    height, width = g.gamma.shape
-    d0 = radial_distance_grid(height, width, g.transform)
-    step = 1.0 / max(height, width)
-    curve = []
-    for k in itertools.count():
-        r = k * step
-        region = d0 >= 2.0 * r * r
-        if not region.any():
-            return curve
-        curve.append((r, float(g.gamma[region].mean())))
+    step = 1.0 / max(g.gamma.shape)
+    sums, counts = _radial_scan(g)
+    return [(k * step, value) for k, value in enumerate((sums / counts).tolist())]
 
 
 def _first_crossing(curve, level, from_below: bool):
@@ -135,9 +174,9 @@ def _first_crossing(curve, level, from_below: bool):
 
 def _direction_quantiles(s: np.ndarray, direction: str):
     if direction == SGM:
-        return quantile(s, 0.75), quantile(s, 0.9), True
+        return (*_quantiles(s, (0.75, 0.9)), True)
     if direction == DDPM:
-        return quantile(s, 0.25), quantile(s, 0.1), False
+        return (*_quantiles(s, (0.25, 0.1)), False)
     raise ValueError(f"unknown direction {direction!r}")
 
 

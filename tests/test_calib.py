@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdas import calib
 from tdas.calib import (
     DDPM,
     SGM,
@@ -20,7 +24,7 @@ from tdas.calib import (
 )
 from tdas.core import ImageDataset
 from tdas.filters import DCT, DFT, radial_distance_grid
-from tdas.transforms import dct2
+from tdas.transforms import dct2, dft2
 
 
 def brute_quantile(values, alpha):
@@ -72,6 +76,31 @@ class TestStatsAndRatio:
         assert np.allclose(st_.power, direct)
         assert st_.sample_count == len(small_dataset)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 8, 8), (6, 1, 9, 7), (5, 3, 16, 16), (20, 3, 128, 128),
+                                       (70, 1, 128, 128)])
+    def test_power_is_the_stacked_mean_bit_for_bit(self, shape):
+        x = ImageDataset(np.random.default_rng(4).standard_normal(shape))
+        assert np.array_equal(freq_power_stats(x, DCT).power,
+                              (dct2(x.items) ** 2).mean(axis=(0, 1)))
+        assert np.array_equal(freq_power_stats(x, DFT).power,
+                              (np.abs(dft2(x.items)) ** 2).mean(axis=(0, 1)))
+
+    def test_block_sets_span_several_blocks(self):
+        # The two largest sets above are transformed a block at a time.
+        for count, channels in ((20, 3), (70, 1)):
+            assert count * channels * 128 * 128 * 8 > calib._STATS_BLOCK_BYTES
+
+    def test_dft_power_holds_less_than_the_image_set(self):
+        # The spectra of all 16 images at once would take four times the set.
+        x = ImageDataset(np.random.default_rng(5).standard_normal((16, 1, 512, 512)))
+        tracemalloc.start()
+        try:
+            freq_power_stats(x, DFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.items.nbytes
+
     def test_dft_power_nonnegative(self, small_dataset):
         assert np.all(freq_power_stats(small_dataset, DFT).power >= 0)
 
@@ -100,6 +129,16 @@ def synthetic_ratio(height=16, width=16, low=0.8, high=2.5, transform=DCT):
     d0 = radial_distance_grid(height, width, transform)
     gamma = low + (high - low) * d0 / d0.max()
     return RatioGrid(gamma, transform)
+
+
+def brute_region(g, r):
+    return radial_distance_grid(*g.gamma.shape, g.transform) >= 2 * r * r
+
+
+def brute_kappa(g, r):
+    """Independent oracle: the exactly rounded sum of the region over its size."""
+    region = brute_region(g, r)
+    return math.fsum(g.gamma[region]) / int(region.sum())
 
 
 class TestKappa:
@@ -132,6 +171,25 @@ class TestKappa:
         assert curve == [(k * step, kappa(g, k * step)) for k in range(len(curve))]
         with pytest.raises(ValueError):
             kappa(g, len(curve) * step)
+
+    @pytest.mark.parametrize("transform", [DCT, DFT])
+    @pytest.mark.parametrize("shape", [(1, 5), (7, 13), (33, 32), (64, 64)])
+    def test_curve_matches_brute_force_regions(self, shape, transform):
+        rng = np.random.default_rng(12)
+        g = RatioGrid(0.1 + rng.gamma(2.0, 1.0, size=shape), transform)
+        curve = kappa_curve(g)
+        _, counts = calib._radial_scan(g)
+        assert len(counts) == len(curve)
+        for (r, value), count in zip(curve, counts):
+            assert count == brute_region(g, r).sum()
+            assert math.isclose(value, brute_kappa(g, r), rel_tol=1e-12)
+        assert not brute_region(g, len(curve) * (1.0 / max(shape))).any()
+        if shape[0] == shape[1]:
+            # Cell (k, k) has d0 = 2 (k/H)^2, exactly the k-th threshold, so
+            # the scan must put it inside region k.
+            d0 = radial_distance_grid(*shape, transform)
+            thresholds = [2 * r * r for r, _ in curve]
+            assert np.count_nonzero(np.isin(d0, thresholds)) > shape[0] // 2
 
     def test_empty_region_raises(self):
         g = synthetic_ratio()
@@ -201,6 +259,17 @@ class TestCalcParams:
         with pytest.raises(ValueError):
             calc_freq_params(g, SGM, DFT)
         assert calc_freq_params(g, SGM, DCT) == calc_freq_params(g, SGM)
+
+    @pytest.mark.parametrize("transform", [DCT, DFT])
+    def test_radii_at_1024_are_the_first_brute_force_crossings(self, transform):
+        g = synthetic_ratio(1024, 1024, transform=transform)
+        p = calc_freq_params(g, SGM)
+        step = 1 / 1024
+        for radius, alpha in ((p.r1, 0.75), (p.r2, 0.9)):
+            level = quantile(g.gamma, alpha)
+            k = round(radius / step)
+            assert radius == k * step and k >= 1
+            assert brute_kappa(g, k * step) >= level > brute_kappa(g, (k - 1) * step)
 
     def test_unknown_direction(self):
         with pytest.raises(ValueError):

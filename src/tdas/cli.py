@@ -1,5 +1,6 @@
 """Command-line frontend: dataset generation, sampling, calibration, stats,
-validation harnesses, and benchmarks, each emitting a reproducibility manifest.
+validation harnesses, and benchmarks. make-data, sample, calibrate and stats
+write a reproducibility manifest, run_manifest.json.
 
 Exit codes: 0 success, 1 usage or runtime error (single-line message on
 stderr), 2 validation failure.
@@ -7,6 +8,7 @@ stderr), 2 validation failure.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -74,9 +76,26 @@ class ManifestWriter:
         return path
 
 
-def _fail(message: str):
+def _fail(message: str, code: int = 1):
     click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+    sys.exit(code)
+
+
+def _exit_on_error(command):
+    """Every command's error boundary: one `error:` line on stderr, then exit 2 for
+    a CalibrationError and 1 for any other exception. Click's usage errors arise
+    before the command runs and sys.exit is no Exception, so both pass through."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except CalibrationError as e:
+            _fail(f"calibration failed: {e}", EXIT_VALIDATION_FAILURE)
+        except Exception as e:  # noqa: BLE001
+            _fail(str(e))
+
+    return run
 
 
 def _derive_seed(master: int, label: str) -> int:
@@ -100,19 +119,17 @@ def main():
 @click.option("--decay", type=float, default=2.0, show_default=True,
               help="Spectral power decay exponent for structured kinds.")
 @click.option("--seed", type=int, default=0, show_default=True)
+@_exit_on_error
 def cmd_make_data(out_dir, kind, count, shape, decay, seed):
     """Generate a synthetic dataset into OUT_DIR."""
-    try:
-        spec = SynthSpec(kind, count, tuple(shape), decay, seed)
-        mw = ManifestWriter("make-data", {"kind": kind, "count": count, "shape": list(shape),
-                                          "decay": decay}, seed)
-        ds = generate(spec)
-        mw.phase("generate")
-        save_dataset(ds, out_dir, extra_manifest={"kind": kind, "decay": decay, "seed": seed})
-        mw.output(out_dir)
-        mw.write(out_dir)
-    except Exception as e:  # noqa: BLE001
-        _fail(str(e))
+    spec = SynthSpec(kind, count, tuple(shape), decay, seed)
+    mw = ManifestWriter("make-data", {"kind": kind, "count": count, "shape": list(shape),
+                                      "decay": decay}, seed)
+    ds = generate(spec)
+    mw.phase("generate")
+    save_dataset(ds, out_dir, extra_manifest={"kind": kind, "decay": decay, "seed": seed})
+    mw.output(out_dir)
+    mw.write(out_dir)
 
 
 def _build_model(cfg: dict):
@@ -142,55 +159,53 @@ def _load_run_config(path, overrides: dict) -> dict:
 @click.option("--iterations", type=int, default=None, help="Override total iterations.")
 @click.option("--accel", type=float, default=None, help="Override the step-size multiplier.")
 @click.option("--seed", type=int, default=None)
+@_exit_on_error
 def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
     """Run a batch of sampling chains described by RUN_CONFIG (JSON; flags win)."""
-    try:
-        cfg = _load_run_config(run_config, {"accel_factor": accel, "seed": seed})
-        if use_vanilla is not None:
-            cfg["vanilla"] = use_vanilla
-        shape = tuple(cfg["shape"])
-        lv = cfg["levels"]
-        steps_per_level = int(lv["steps_per_level"])
-        if iterations is not None:
-            if iterations % int(lv["levels"]) != 0:
-                raise ValueError("--iterations must be a multiple of the level count")
-            steps_per_level = iterations // int(lv["levels"])
-        levels = geometric_levels(float(lv["sigma_max"]), float(lv["sigma_min"]),
-                                  int(lv["levels"]), steps_per_level)
-        model = _build_model(cfg)
-        space, freq, transform = None, None, DCT
-        if not cfg.get("vanilla", False):
-            space = SpaceFilter(load_tensor(cfg["space_mask"])) if cfg.get("space_mask") else None
-            if cfg.get("freq_params"):
-                params = FreqFilterParams.from_json(Path(cfg["freq_params"]).read_text())
-                freq, transform = build_freq_mask(params, shape), params.transform
-            elif cfg.get("freq_mask"):
-                freq = load_tensor(cfg["freq_mask"])
-        sampler_cfg = SamplerConfig(levels=levels, eps0=float(cfg["eps0"]),
-                                    accel_factor=float(cfg.get("accel_factor", 1.0)),
-                                    transform=transform)
-        master_seed = int(cfg["seed"])
-        n_samples = int(cfg.get("n_samples", 1))
-        mw = ManifestWriter("sample", cfg, master_seed)
-        x = sample_batch(model, sampler_cfg, master_seed, n_samples,
-                         space=space, freq=freq, shape=shape)
-        mw.phase("sample")
-        out_dir = Path(cfg["out_dir"])
-        save_dataset(ImageDataset(x), out_dir / "tensors")
-        mw.output(out_dir / "tensors")
-        if shape[0] in (1, 3):
-            img_dir = out_dir / "images"
-            img_dir.mkdir(parents=True, exist_ok=True)
-            lo, hi = float(x.min()), float(x.max())
-            for i in range(min(n_samples, 16)):
-                ext = "pgm" if shape[0] == 1 else "ppm"
-                path = img_dir / f"sample_{i:03d}.{ext}"
-                export_image(x[i], path, clamp=(lo, hi if hi > lo else lo + 1.0))
-                mw.output(path)
-        mw.phase("export")
-        mw.write(out_dir)
-    except Exception as e:  # noqa: BLE001
-        _fail(str(e))
+    cfg = _load_run_config(run_config, {"accel_factor": accel, "seed": seed})
+    if use_vanilla is not None:
+        cfg["vanilla"] = use_vanilla
+    shape = tuple(cfg["shape"])
+    lv = cfg["levels"]
+    steps_per_level = int(lv["steps_per_level"])
+    if iterations is not None:
+        if iterations % int(lv["levels"]) != 0:
+            raise ValueError("--iterations must be a multiple of the level count")
+        steps_per_level = iterations // int(lv["levels"])
+    levels = geometric_levels(float(lv["sigma_max"]), float(lv["sigma_min"]),
+                              int(lv["levels"]), steps_per_level)
+    model = _build_model(cfg)
+    space, freq, transform = None, None, DCT
+    if not cfg.get("vanilla", False):
+        space = SpaceFilter(load_tensor(cfg["space_mask"])) if cfg.get("space_mask") else None
+        if cfg.get("freq_params"):
+            params = FreqFilterParams.from_json(Path(cfg["freq_params"]).read_text())
+            freq, transform = build_freq_mask(params, shape), params.transform
+        elif cfg.get("freq_mask"):
+            freq = load_tensor(cfg["freq_mask"])
+    sampler_cfg = SamplerConfig(levels=levels, eps0=float(cfg["eps0"]),
+                                accel_factor=float(cfg.get("accel_factor", 1.0)),
+                                transform=transform)
+    master_seed = int(cfg["seed"])
+    n_samples = int(cfg.get("n_samples", 1))
+    mw = ManifestWriter("sample", cfg, master_seed)
+    x = sample_batch(model, sampler_cfg, master_seed, n_samples,
+                     space=space, freq=freq, shape=shape)
+    mw.phase("sample")
+    out_dir = Path(cfg["out_dir"])
+    save_dataset(ImageDataset(x), out_dir / "tensors")
+    mw.output(out_dir / "tensors")
+    if shape[0] in (1, 3):
+        img_dir = out_dir / "images"
+        img_dir.mkdir(parents=True, exist_ok=True)
+        lo, hi = float(x.min()), float(x.max())
+        for i in range(min(n_samples, 16)):
+            ext = "pgm" if shape[0] == 1 else "ppm"
+            path = img_dir / f"sample_{i:03d}.{ext}"
+            export_image(x[i], path, clamp=(lo, hi if hi > lo else lo + 1.0))
+            mw.output(path)
+    mw.phase("export")
+    mw.write(out_dir)
 
 
 @main.command("calibrate")
@@ -201,28 +216,23 @@ def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
 @click.option("--out", "out_path", type=click.Path(), default="freq_params.json", show_default=True)
 @click.option("--curve", "curve_path", type=click.Path(), default=None,
               help="Optional CSV of (r, kappa) pairs.")
+@_exit_on_error
 def cmd_calibrate(reference_dir, generated_dir, direction, transform, out_path, curve_path):
     """Estimate frequency-filter parameters from generated vs reference samples."""
-    try:
-        mw = ManifestWriter("calibrate", {"reference": reference_dir, "generated": generated_dir,
-                                          "direction": direction, "transform": transform}, None)
-        ref = load_dataset(reference_dir)
-        gen = load_dataset(generated_dir)
-        g = ratio_grid(freq_power_stats(gen, transform), freq_power_stats(ref, transform))
-        mw.phase("stats")
-        if curve_path:
-            write_kappa_csv(kappa_curve(g), curve_path)
-            mw.output(curve_path)
-        params = calc_freq_params(g, direction)
-        Path(out_path).write_text(params.to_json() + "\n")
-        mw.output(out_path)
-        mw.write(Path(out_path).parent or ".")
-        click.echo(params.to_json())
-    except CalibrationError as e:
-        click.echo(f"error: calibration failed: {e}", err=True)
-        sys.exit(EXIT_VALIDATION_FAILURE)
-    except Exception as e:  # noqa: BLE001
-        _fail(str(e))
+    mw = ManifestWriter("calibrate", {"reference": reference_dir, "generated": generated_dir,
+                                      "direction": direction, "transform": transform}, None)
+    ref = load_dataset(reference_dir)
+    gen = load_dataset(generated_dir)
+    g = ratio_grid(freq_power_stats(gen, transform), freq_power_stats(ref, transform))
+    mw.phase("stats")
+    if curve_path:
+        write_kappa_csv(kappa_curve(g), curve_path)
+        mw.output(curve_path)
+    params = calc_freq_params(g, direction)
+    Path(out_path).write_text(params.to_json() + "\n")
+    mw.output(out_path)
+    mw.write(Path(out_path).parent or ".")
+    click.echo(params.to_json())
 
 
 @main.command("stats")
@@ -231,22 +241,20 @@ def cmd_calibrate(reference_dir, generated_dir, direction, transform, out_path, 
 @click.option("--out", "out_path", type=click.Path(), default="freq_stats.tdt", show_default=True)
 @click.option("--profile", "profile_path", type=click.Path(), default=None,
               help="Optional CSV radial power profile.")
+@_exit_on_error
 def cmd_stats(samples_dir, transform, out_path, profile_path):
     """Emit the average spectral power grid of a sample directory."""
-    try:
-        mw = ManifestWriter("stats", {"samples": samples_dir, "transform": transform}, None)
-        stats = freq_power_stats(load_dataset(samples_dir), transform)
-        save_tensor(stats.power[None], out_path)
-        mw.output(out_path)
-        if profile_path:
-            radii, power = radial_power_profile(stats.power)
-            lines = ["radius,power"] + [f"{r:.10g},{p:.10g}" for r, p in zip(radii, power)]
-            Path(profile_path).write_text("\n".join(lines) + "\n")
-            mw.output(profile_path)
-        mw.phase("stats")
-        mw.write(Path(out_path).parent or ".")
-    except Exception as e:  # noqa: BLE001
-        _fail(str(e))
+    mw = ManifestWriter("stats", {"samples": samples_dir, "transform": transform}, None)
+    stats = freq_power_stats(load_dataset(samples_dir), transform)
+    save_tensor(stats.power[None], out_path)
+    mw.output(out_path)
+    if profile_path:
+        radii, power = radial_power_profile(stats.power)
+        lines = ["radius,power"] + [f"{r:.10g},{p:.10g}" for r, p in zip(radii, power)]
+        Path(profile_path).write_text("\n".join(lines) + "\n")
+        mw.output(profile_path)
+    mw.phase("stats")
+    mw.write(Path(out_path).parent or ".")
 
 
 @main.command("validate")
@@ -266,49 +274,47 @@ def cmd_stats(samples_dir, transform, out_path, profile_path):
 @click.option("--transform", type=click.Choice(["dct", "dft"]), default="dct", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
+@_exit_on_error
 def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
                  reference_dir, transform, seed, report_path):
     """Run a numerical harness and emit a JSON report; exit 2 on failure."""
     if mode is None:
         _fail("choose one of --theorem1, --theorem2, --metrics")
-    try:
-        shape = tuple(shape)
-        if mode == "theorem1":
-            model = GaussianScore(np.zeros(shape), 1.0)
-            cfg = SamplerConfig(levels=geometric_levels(1.0, 0.1, 5, max(1, steps // 5)), eps0=0.01)
-            fmap = None if map_kind == "dct" else PermutationMap(shape, _derive_seed(seed, "perm"))
-            deviation = check_theorem1(model, cfg, seed, steps, shape, fmap=fmap)
-            report = {"harness": "trajectory-equivalence", "max_deviation": deviation,
-                      "tolerance": 1e-6, "passed": deviation <= 1e-6}
-        elif mode == "theorem2":
-            model = GaussianScore(np.zeros(shape), 1.0)
-            gen = {
-                "independent": lambda xs, src: src.normal(shape),
-                "aligned": lambda xs, src: xs,
-                "anti": lambda xs, src: -xs,
-            }[regime]
-            rep = check_theorem2(model, np.zeros(shape), gen, eps, n_mc, seed)
-            report = json.loads(rep.to_json())
-            report.update(harness="deviation-decomposition", regime=regime, passed=rep.consistent())
-        else:
-            if not samples_dir or not reference_dir:
-                _fail("--metrics needs --samples and --reference")
-            a = load_dataset(samples_dir)
-            b = load_dataset(reference_dir)
-            report = {
-                "harness": "sample-quality-metrics",
-                "spectral_deviation": spectral_deviation(a, b, transform),
-                "sliced_wasserstein": sliced_wasserstein(a, b, 64, seed),
-                "passed": True,
-            }
-        text = json.dumps(report, indent=2)
-        if report_path:
-            Path(report_path).write_text(text + "\n")
-        click.echo(text)
-        if not report["passed"]:
-            sys.exit(EXIT_VALIDATION_FAILURE)
-    except Exception as e:  # noqa: BLE001
-        _fail(str(e))
+    shape = tuple(shape)
+    if mode == "theorem1":
+        model = GaussianScore(np.zeros(shape), 1.0)
+        cfg = SamplerConfig(levels=geometric_levels(1.0, 0.1, 5, max(1, steps // 5)), eps0=0.01)
+        fmap = None if map_kind == "dct" else PermutationMap(shape, _derive_seed(seed, "perm"))
+        deviation = check_theorem1(model, cfg, seed, steps, shape, fmap=fmap)
+        report = {"harness": "trajectory-equivalence", "max_deviation": deviation,
+                  "tolerance": 1e-6, "passed": deviation <= 1e-6}
+    elif mode == "theorem2":
+        model = GaussianScore(np.zeros(shape), 1.0)
+        gen = {
+            "independent": lambda xs, src: src.normal(shape),
+            "aligned": lambda xs, src: xs,
+            "anti": lambda xs, src: -xs,
+        }[regime]
+        rep = check_theorem2(model, np.zeros(shape), gen, eps, n_mc, seed)
+        report = json.loads(rep.to_json())
+        report.update(harness="deviation-decomposition", regime=regime, passed=rep.consistent())
+    else:
+        if not samples_dir or not reference_dir:
+            _fail("--metrics needs --samples and --reference")
+        a = load_dataset(samples_dir)
+        b = load_dataset(reference_dir)
+        report = {
+            "harness": "sample-quality-metrics",
+            "spectral_deviation": spectral_deviation(a, b, transform),
+            "sliced_wasserstein": sliced_wasserstein(a, b, 64, seed),
+            "passed": True,
+        }
+    text = json.dumps(report, indent=2)
+    if report_path:
+        Path(report_path).write_text(text + "\n")
+    click.echo(text)
+    if not report["passed"]:
+        sys.exit(EXIT_VALIDATION_FAILURE)
 
 
 @main.command("bench")
@@ -316,15 +322,13 @@ def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
               help="Grid sizes to time, e.g. --filter-overhead 256 --filter-overhead 1024.")
 @click.option("--repeats", type=int, default=10, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="filter_overhead.csv", show_default=True)
+@_exit_on_error
 def cmd_bench(sizes, repeats, out_path):
     """Time the filtered-noise application across grid sizes; emit CSV."""
-    try:
-        rows = filter_overhead_bench(sizes, repeats)
-        lines = ["size,median_seconds"] + [f"{r['size']},{r['median_seconds']:.10g}" for r in rows]
-        Path(out_path).write_text("\n".join(lines) + "\n")
-        click.echo("\n".join(lines))
-    except Exception as e:  # noqa: BLE001
-        _fail(str(e))
+    rows = filter_overhead_bench(sizes, repeats)
+    lines = ["size,median_seconds"] + [f"{r['size']},{r['median_seconds']:.10g}" for r in rows]
+    Path(out_path).write_text("\n".join(lines) + "\n")
+    click.echo("\n".join(lines))
 
 
 if __name__ == "__main__":

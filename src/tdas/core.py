@@ -74,13 +74,11 @@ class NoiseSource:
 
     Backed by numpy's PCG64 bit generator with the ziggurat normal transform
     (``Generator.standard_normal``); identical seeds give bit-identical draw
-    sequences across runs and platforms. ``position`` counts scalars drawn.
+    sequences across runs and platforms.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.position = 0
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(np.random.PCG64(int(seed)))
 
     @classmethod
     def for_worker(cls, master_seed: int, worker: int) -> "NoiseSource":
@@ -88,8 +86,6 @@ class NoiseSource:
         # same child as SeedSequence(master_seed).spawn(worker + 1)[worker].
         child = np.random.SeedSequence(master_seed, spawn_key=(worker,))
         src = cls.__new__(cls)
-        src.seed = master_seed
-        src.position = 0
         src._gen = np.random.Generator(np.random.PCG64(child))
         return src
 
@@ -97,18 +93,10 @@ class NoiseSource:
         shape = tuple(int(s) for s in np.atleast_1d(shape))
         if any(s < 1 for s in shape):
             raise ValueError(f"all dims must be >= 1, got {shape}")
-        out = self._gen.standard_normal(shape)
-        self.position += out.size
-        return out
+        return self._gen.standard_normal(shape)
 
     def integers(self, low, high) -> int:
-        self.position += 1
         return int(self._gen.integers(low, high))
-
-    def uniform(self, size=None) -> np.ndarray:
-        out = self._gen.random(size)
-        self.position += np.size(out)
-        return out
 
 
 def draw_normal(source: NoiseSource, shape) -> np.ndarray:

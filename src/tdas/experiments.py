@@ -19,7 +19,7 @@ from .core import ImageDataset
 from .filters import DCT, DFT, build_freq_mask
 from .sampler import SamplerConfig, sample_batch
 from .scores import EmpiricalScore, geometric_levels
-from .synthdata import FACE_LIKE, LOW_FREQ_BLOBS, UNSTRUCTURED, SynthSpec, generate
+from .synthdata import LOW_FREQ_BLOBS, UNSTRUCTURED, SynthSpec, generate
 from .validate import sliced_wasserstein, spectral_deviation
 
 SHAPE = (1, 32, 32)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import ImageDataset, DegenerateDatasetError, as_tensor
-from .transforms import dct2, idct2, dft2, idft2_real
+from .transforms import dct2, idct2
 
 DCT = "dct"
 DFT = "dft"
@@ -76,13 +76,15 @@ def radial_distance_grid(height: int, width: int, transform: str) -> np.ndarray:
 
     DCT: distance to the DC corner (0, 0). DFT: minimum distance to the four
     spectrum corners, reflecting the conjugate symmetry of real-input spectra.
+    The DFT distance is taken on integer indices, min(i, H - i), so cells (i, j)
+    and (-i mod H, -j mod W) get the same float on every grid.
     """
-    h = np.arange(height, dtype=np.float64)[:, None] / height
-    w = np.arange(width, dtype=np.float64)[None, :] / width
+    h = np.arange(height)[:, None]
+    w = np.arange(width)[None, :]
     if transform == DCT:
-        return h**2 + w**2
+        return (h / height) ** 2 + (w / width) ** 2
     if transform == DFT:
-        return np.minimum(h, 1.0 - h) ** 2 + np.minimum(w, 1.0 - w) ** 2
+        return (np.minimum(h, height - h) / height) ** 2 + (np.minimum(w, width - w) / width) ** 2
     raise ValueError(f"unknown transform {transform!r}")
 
 
@@ -130,7 +132,9 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
     """Regulate a noise tensor through the space mask and the spectral mask.
 
     All-ones masks are returned untouched (bit-identical), so unfiltered
-    sampling is literally a special case of the filtered path.
+    sampling is literally a special case of the filtered path. A DFT mask must
+    be conjugate-symmetric, M[h, w] == M[-h, -w], as every radial mask is: the
+    output is then real and comes from the half-spectrum transforms.
 
     Accepts extra leading batch axes on z.
     """
@@ -144,13 +148,10 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
     if transform == DCT:
         return idct2(freq * dct2(masked))
     if transform == DFT:
-        if _conjugate_symmetric(freq):
-            # Real input with a symmetric mask: work on the half-spectrum.
-            # Radial masks are symmetric by construction, so this is the
-            # common case; it halves the transform traffic.
-            height, width = masked.shape[-2:]
-            half = np.fft.rfft2(masked, axes=(-2, -1))
-            half *= freq[..., : width // 2 + 1]
-            return np.fft.irfft2(half, s=(height, width), axes=(-2, -1))
-        return idft2_real(freq * dft2(masked))
+        if not _conjugate_symmetric(freq):
+            raise ValueError("DFT mask is not conjugate-symmetric, M[h, w] != M[-h, -w]")
+        height, width = masked.shape[-2:]
+        half = np.fft.rfft2(masked, axes=(-2, -1))
+        half *= freq[..., : width // 2 + 1]
+        return np.fft.irfft2(half, s=(height, width), axes=(-2, -1))
     raise ValueError(f"unknown transform {transform!r}")

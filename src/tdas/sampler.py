@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import NoiseSource, draw_normal
 from .filters import DCT, SpaceFilter, apply_tdas, identity_space_mask
-from .scores import NoiseLevels, ScoreModel
+from .scores import NoiseLevels
 from .transforms import Dct2Map, OrthogonalMap
 
 
@@ -60,13 +60,6 @@ class SamplerConfig:
 
 def _same(z):
     return z
-
-
-def _batched(model: ScoreModel):
-    """Score of a (B, C, H, W) stack; per-chain calls for models without score_batch."""
-    if hasattr(model, "score_batch"):
-        return model.score_batch
-    return lambda x, sigma: np.stack([model.score(xi, sigma) for xi in x])
 
 
 def _anneal(score, cfg: SamplerConfig, draw, regulate=_same, fmap: OrthogonalMap | None = None,
@@ -137,7 +130,8 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     """Run n_chains independent filtered chains with per-chain derived seeds.
 
     Noise is drawn chain-by-chain from per-chain streams (so results do not
-    depend on batching or scheduling), while score evaluation is vectorized.
+    depend on batching or scheduling), while the score of the whole stack comes
+    from one model.score_batch call per step.
     Returns an (n_chains, C, H, W) stack.
     """
     if space is None:
@@ -151,4 +145,4 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
     draw = lambda: np.stack([draw_normal(s, shape) for s in sources])
-    return _anneal(_batched(model), cfg, draw, lambda z: apply_tdas(z, space, freq, cfg.transform))
+    return _anneal(model.score_batch, cfg, draw, lambda z: apply_tdas(z, space, freq, cfg.transform))

@@ -36,6 +36,10 @@ class ScoreModel:
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         raise NotImplementedError
 
+    def score_batch(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        """Score of a (B, C, H, W) stack of chains, one score call per chain."""
+        return np.stack([self.score(xi, sigma) for xi in x])
+
     def sample_target(self, src: NoiseSource) -> np.ndarray:
         raise NotImplementedError
 

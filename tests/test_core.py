@@ -43,12 +43,6 @@ class TestNoiseSource:
     def test_different_seeds_differ(self):
         assert not np.array_equal(NoiseSource(1).normal((8,)), NoiseSource(2).normal((8,)))
 
-    def test_position_counts_scalars(self):
-        s = NoiseSource(0)
-        s.normal((2, 3, 4))
-        s.integers(0, 10)
-        assert s.position == 25
-
     def test_worker_streams_independent_and_stable(self):
         a0 = NoiseSource.for_worker(5, 0).normal((16,))
         a1 = NoiseSource.for_worker(5, 1).normal((16,))

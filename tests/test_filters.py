@@ -15,7 +15,7 @@ from tdas.filters import (
     identity_space_mask,
     radial_distance_grid,
 )
-from tdas.transforms import dct2, idct2
+from tdas.transforms import dct2, dft2, idct2, idft2_real
 
 
 class TestFreqFilterParams:
@@ -73,6 +73,24 @@ class TestRadialGrid:
     def test_rectangular_normalization(self):
         d0 = radial_distance_grid(4, 8, DCT)
         assert np.isclose(d0[2, 4], (2 / 4) ** 2 + (4 / 8) ** 2)
+
+    @pytest.mark.parametrize(
+        "shape", [(n, n) for n in range(1, 41)] + [(7, 9), (33, 32), (100, 100)],
+        ids=lambda shape: f"{shape[0]}x{shape[1]}",
+    )
+    def test_dft_grid_is_conjugate_symmetric(self, shape):
+        # Cell (h, w) and its mirror (-h mod H, -w mod W) get the same float.
+        d0 = radial_distance_grid(*shape, DFT)
+        mirrored = d0[(-np.arange(shape[0])) % shape[0]][:, (-np.arange(shape[1])) % shape[1]]
+        assert np.array_equal(d0, mirrored)
+
+    @pytest.mark.parametrize("n", [2**k for k in range(11)])
+    def test_dft_grid_on_power_of_two_sides_is_the_fractional_formula(self, n):
+        # The formula on fractions h = i / n, bit for bit: i / n and 1 - i / n
+        # are exact when n is a power of two.
+        h = np.arange(n, dtype=np.float64) / n
+        side = np.minimum(h, 1.0 - h) ** 2
+        assert np.array_equal(radial_distance_grid(n, n, DFT), side[:, None] + side[None, :])
 
 
 class TestFreqMask:
@@ -144,11 +162,30 @@ class TestApplyTdas:
         out = apply_tdas(z, identity_space_mask(z.shape), freq, DFT)
         assert np.allclose(out, idft2_real(freq * dft2(z)), atol=1e-12)
 
-    def test_dft_output_real(self, rng):
+    def test_dft_refuses_asymmetric_mask(self, rng):
+        # A real inverse DFT of an asymmetric mask would filter with its
+        # symmetrised average, not with the mask itself.
         z = rng.standard_normal((1, 8, 8))
         freq = rng.uniform(0.2, 1.0, (1, 8, 8))
-        out = apply_tdas(z, identity_space_mask(z.shape), freq, DFT)
+        with pytest.raises(ValueError):
+            apply_tdas(z, identity_space_mask(z.shape), freq, DFT)
+        radial = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=DFT), (1, 8, 8))
+        out = apply_tdas(z, identity_space_mask(z.shape), radial, DFT)
         assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [7, 12, 24, 100])
+    def test_dft_masks_at_scan_radii_are_accepted(self, n, rng):
+        # Zone thresholds at the calibration scan radii r_k = k / n hit mirror
+        # cells exactly; both cells of a pair must land in the same zone.
+        z = rng.standard_normal((1, n, n))
+        identity = identity_space_mask(z.shape)
+        spectrum = dft2(z)
+        radii = np.arange(1, n + 1) / n
+        for i, r1 in enumerate(radii):
+            for r2 in radii[i:]:
+                freq = build_freq_mask(FreqFilterParams(0.7, 0.4, r1, r2, transform=DFT), z.shape)
+                out = apply_tdas(z, identity, freq, DFT)
+                assert np.allclose(out, idft2_real(freq * spectrum), atol=1e-12)
 
     def test_batched_equals_per_item(self, rng):
         z = rng.standard_normal((4, 1, 8, 8))

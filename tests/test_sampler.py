@@ -11,7 +11,7 @@ from tdas.sampler import (
     sample_batch,
     vanilla_sample,
 )
-from tdas.scores import GaussianScore, geometric_levels
+from tdas.scores import GaussianScore, ScoreModel, geometric_levels
 from tdas.transforms import Dct2Map
 
 
@@ -149,3 +149,18 @@ class TestSampleBatch:
             sample_batch(model, make_cfg(), 0, 2, space=space, shape=(1, 8, 8))
         agreeing = sample_batch(model, make_cfg(), 0, 2, space=space, shape=[1, 4, 4])
         assert np.array_equal(agreeing, sample_batch(model, make_cfg(), 0, 2, space=space))
+
+    def test_model_with_only_score_runs_through_its_score(self):
+        class Pull(ScoreModel):
+            calls = 0
+
+            def score(self, x, sigma):
+                Pull.calls += 1
+                return -x / (1.0 + sigma**2)
+
+        cfg = make_cfg()
+        out = sample_batch(Pull(), cfg, 42, 3, shape=(1, 4, 4))
+        assert Pull.calls == 3 * cfg.total_steps
+        # The same pull as a Gaussian target with s0 = 1 and mu = 0.
+        gaussian = sample_batch(GaussianScore(np.zeros((1, 4, 4)), 1.0), cfg, 42, 3, shape=(1, 4, 4))
+        assert np.array_equal(out, gaussian)

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from tdas.core import ImageDataset, NoiseSource
-from tdas.scores import EmpiricalScore, GaussianScore, NoiseLevels, _row_logsumexp, geometric_levels
+from tdas.scores import (
+    EmpiricalScore,
+    GaussianScore,
+    NoiseLevels,
+    ScoreModel,
+    _row_logsumexp,
+    geometric_levels,
+)
 
 TINY = np.finfo(np.float64).tiny
 
@@ -41,6 +48,22 @@ class TestGaussianScore:
         draws = np.stack([m.sample_target(src) for _ in range(4000)])
         assert abs(draws.mean() - 2.0) < 0.02
         assert abs(draws.std() - 0.5) < 0.02
+
+
+class _ScoreOnly(ScoreModel):
+    """A model that defines only score, so it inherits ScoreModel.score_batch."""
+
+    def score(self, x, sigma):
+        return np.sin(x) / (1.0 + sigma**2)
+
+
+class TestScoreBatchDefault:
+    @pytest.mark.parametrize("model", [GaussianScore(np.full((1, 3, 4), 0.25), 1.5), _ScoreOnly()],
+                             ids=["gaussian", "score-only"])
+    def test_equals_per_chain_stack(self, model, rng):
+        xs = rng.standard_normal((5, 1, 3, 4))
+        expected = np.stack([model.score(x, 0.7) for x in xs])
+        assert np.array_equal(model.score_batch(xs, 0.7), expected)
 
 
 class TestEmpiricalScore:

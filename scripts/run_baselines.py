@@ -2,6 +2,10 @@
 """Run the full desk-scale experiment suite once and freeze the resulting
 margins into baselines/acceptance_margins.json.
 
+With --check the suite is rerun and compared with the frozen file instead:
+every frozen value but wall_seconds is printed as old, new and relative
+change, nothing is written, and the exit status is 1 if any value moved.
+
 The acceptance suite treats these numbers as regression thresholds: the
 acceleration experiment must keep beating the vanilla run by at least the
 frozen margins, and the negative control's filter-induced change must stay
@@ -9,6 +13,7 @@ below the structured improvement. Re-run this script only when the pipeline
 constants change, and review the diff.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -25,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tdas.experiments import (
     BASELINE_PATH,
+    load_baselines,
     run_acceleration_experiment,
     run_calibration_trend,
     run_negative_control,
@@ -32,7 +38,7 @@ from tdas.experiments import (
 )
 
 
-def main():
+def run_suite():
     t0 = time.perf_counter()
     print("acceleration experiment (structured data) ...", flush=True)
     accel = run_acceleration_experiment()
@@ -46,15 +52,63 @@ def main():
     trend = run_calibration_trend()
     print(json.dumps(trend, indent=2))
 
-    results = {
+    return {
         "acceleration": accel,
         "negative_control": control,
         "calibration_trend": trend,
         "wall_seconds": time.perf_counter() - t0,
     }
+
+
+def leaves(tree, path=""):
+    """(path, value) for every scalar in a nest of dicts and lists."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def relative_change(old, new):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return "n/a"
+    if old == new:
+        return "0"
+    return f"{(new - old) / abs(old):+.3g}" if old else "inf"
+
+
+def check(frozen, results):
+    """Print each frozen value against the rerun; return the number that moved."""
+    old, new = dict(leaves(frozen)), dict(leaves(results))
+    moved = 0
+    for path in sorted(old.keys() | new.keys()):
+        if path == "wall_seconds":
+            continue
+        a, b = old.get(path, "<missing>"), new.get(path, "<missing>")
+        same = a == b
+        moved += not same
+        print(f"{'ok   ' if same else 'MOVED'} {path}: old {a!r} new {b!r} "
+              f"relative change {relative_change(a, b)}")
+    return moved
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="rerun and compare with the frozen file; write nothing")
+    args = ap.parse_args(argv)
+    results = run_suite()
+    if args.check:
+        moved = check(load_baselines(), results)
+        print(f"{moved} frozen value(s) moved; rerun took {results['wall_seconds']:.1f}s")
+        return 1 if moved else 0
     write_baselines(results)
     print(f"wrote {BASELINE_PATH} in {results['wall_seconds']:.1f}s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

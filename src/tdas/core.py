@@ -90,10 +90,11 @@ class NoiseSource:
         return src
 
     def normal(self, shape) -> np.ndarray:
-        shape = tuple(int(s) for s in np.atleast_1d(shape))
-        if any(s < 1 for s in shape):
+        # numpy rejects negative dims itself, and an empty draw consumes no stream.
+        out = self._gen.standard_normal(shape)
+        if out.size == 0:
             raise ValueError(f"all dims must be >= 1, got {shape}")
-        return self._gen.standard_normal(shape)
+        return out
 
     def integers(self, low, high) -> int:
         return int(self._gen.integers(low, high))
@@ -101,7 +102,6 @@ class NoiseSource:
 
 def draw_normal(source: NoiseSource, shape) -> np.ndarray:
     """Draw an i.i.d. standard-normal tensor of shape (C, H, W)."""
-    shape = tuple(int(s) for s in shape)
     if len(shape) != 3:
         raise ValueError(f"expected a (C, H, W) shape, got {shape}")
     return source.normal(shape)

@@ -144,7 +144,7 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         )
     if space.is_identity and np.all(np.asarray(freq) == 1.0):
         return z
-    masked = space.mask * z
+    masked = z if space.is_identity else space.mask * z
     if transform == DCT:
         return idct2(freq * dct2(masked))
     if transform == DFT:

@@ -129,9 +129,13 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
                  shape=None):
     """Run n_chains independent filtered chains with per-chain derived seeds.
 
-    Noise is drawn chain-by-chain from per-chain streams (so results do not
-    depend on batching or scheduling), while the score of the whole stack comes
-    from one model.score_batch call per step.
+    Noise is drawn chain-by-chain from per-chain streams, while the score of the
+    whole stack comes from one model.score_batch call per step. Chain i's noise
+    does not depend on n_chains, and nor does its output when score_batch
+    treats rows alone (the base class stacks per-chain score calls). A BLAS
+    score_batch, such as EmpiricalScore's, can round a row differently for
+    another batch size (a one-row product takes another BLAS path), so its
+    chains agree across batch sizes only to round-off.
     Returns an (n_chains, C, H, W) stack.
     """
     if space is None:

@@ -16,6 +16,11 @@ from .filters import DCT
 from .sampler import SamplerConfig, freq_domain_sample, vanilla_sample
 from .transforms import Dct2Map, OrthogonalMap
 
+# check_theorem2 holds at most this many bytes of target draws, and as many of
+# noise draws, at once (one draw if a single one is larger); the block's
+# temporaries peak at a few times that.
+_THEOREM2_BLOCK_BYTES = 1 << 19
+
 
 def check_theorem1(model, cfg: SamplerConfig, seed: int, steps: int, shape=(1, 16, 16),
                    fmap: OrthogonalMap | None = None) -> float:
@@ -74,8 +79,10 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
 
     x_t is held fixed, so the filtration condition reduces to E[z] = 0 while z
     may correlate with the target draw x*. noise_gen(x_star, src) produces the
-    noise for each draw. Accumulation uses float64 pairwise sums (numpy),
-    reduction-order stable to well under 1e-9 at these sizes.
+    noise for each draw. Draws are made one at a time, in stream order, into a
+    block of at most _THEOREM2_BLOCK_BYTES per buffer; the four terms are then
+    reduced a block at a time. Each row's sum is the float64 pairwise sum np.sum
+    makes on that draw alone, so the result does not depend on the block size.
     """
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
@@ -88,14 +95,23 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     var_vals = np.empty(n_mc)
     corr_vals = np.empty(n_mc)
     root_eps = math.sqrt(eps)
-    for j in range(n_mc):
-        x_star = model.sample_target(src)
-        z = noise_gen(x_star, src)
-        a = x_star - drift
-        lhs_vals[j] = np.sum((a - root_eps * z) ** 2)
-        c1_vals[j] = np.sum(a**2)
-        var_vals[j] = eps * np.sum(z**2)
-        corr_vals[j] = 2.0 * root_eps * np.sum(x_star * z)
+    per_block = max(1, min(n_mc, _THEOREM2_BLOCK_BYTES // drift.nbytes))
+    x_block = np.empty((per_block,) + drift.shape)
+    z_block = np.empty_like(x_block)
+    axes = tuple(range(1, x_block.ndim))
+    for start in range(0, n_mc, per_block):
+        n = min(per_block, n_mc - start)
+        rows = slice(start, start + n)
+        xs, z = x_block[:n], z_block[:n]
+        for j in range(n):
+            x_star = model.sample_target(src)
+            xs[j] = x_star
+            z[j] = noise_gen(x_star, src)
+        a = xs - drift
+        lhs_vals[rows] = np.sum((a - root_eps * z) ** 2, axis=axes)
+        c1_vals[rows] = np.sum(a**2, axis=axes)
+        var_vals[rows] = eps * np.sum(z**2, axis=axes)
+        corr_vals[rows] = 2.0 * root_eps * np.sum(xs * z, axis=axes)
     se = float(lhs_vals.std(ddof=1) / math.sqrt(n_mc))
     return DeviationReport(
         lhs=float(lhs_vals.mean()),

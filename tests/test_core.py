@@ -62,6 +62,19 @@ class TestNoiseSource:
         with pytest.raises(ValueError):
             NoiseSource(0).normal((0, 4))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, -1)])
+    def test_rejected_draw_consumes_nothing(self, shape):
+        src = NoiseSource(3)
+        with pytest.raises(ValueError):
+            src.normal(shape)
+        assert np.array_equal(src.normal((5,)), NoiseSource(3).normal((5,)))
+
+    @pytest.mark.parametrize("shape", [8, (1, 4, 4), np.shape(np.zeros((2, 3))),
+                                       (np.int64(2), 3)])
+    def test_draw_is_generator_standard_normal(self, shape):
+        expected = np.random.Generator(np.random.PCG64(4)).standard_normal(shape)
+        assert np.array_equal(NoiseSource(4).normal(shape), expected)
+
 
 def test_draw_normal_requires_chw():
     with pytest.raises(ValueError):

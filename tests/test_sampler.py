@@ -11,7 +11,8 @@ from tdas.sampler import (
     sample_batch,
     vanilla_sample,
 )
-from tdas.scores import GaussianScore, ScoreModel, geometric_levels
+from tdas.scores import EmpiricalScore, GaussianScore, ScoreModel, geometric_levels
+from tdas.synthdata import LOW_FREQ_BLOBS, SynthSpec, generate
 from tdas.transforms import Dct2Map
 
 
@@ -128,6 +129,23 @@ class TestSampleBatch:
         full = sample_batch(model, cfg, 42, 4, shape=(1, 4, 4))
         fewer = sample_batch(model, cfg, 42, 2, shape=(1, 4, 4))
         assert np.allclose(full[:2], fewer)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_gaussian_chains_bit_identical_across_batch_sizes(self, k):
+        # The batch score is a stack of per-chain score calls, so no chain sees its batch.
+        model = GaussianScore(np.linspace(-1.0, 1.0, 16).reshape(1, 4, 4), 0.7)
+        full = sample_batch(model, make_cfg(), 42, 5, shape=(1, 4, 4))
+        assert np.array_equal(sample_batch(model, make_cfg(), 42, k, shape=(1, 4, 4)), full[:k])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_empirical_chains_agree_to_rounding_across_batch_sizes(self, k):
+        # BLAS may round a row of the score's products differently for another
+        # batch size (a one-row product takes another path), so only
+        # round-off is pinned.
+        model = EmpiricalScore(generate(SynthSpec(LOW_FREQ_BLOBS, 20, (1, 8, 8), seed=9)))
+        full = sample_batch(model, make_cfg(), 42, 9, shape=(1, 8, 8))
+        np.testing.assert_allclose(sample_batch(model, make_cfg(), 42, k, shape=(1, 8, 8)),
+                                   full[:k], rtol=0, atol=1e-12)
 
     def test_matches_single_chain_loop(self):
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)

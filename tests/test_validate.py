@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tdas import validate
 from tdas.core import ImageDataset, NoiseSource
 from tdas.sampler import SamplerConfig
-from tdas.scores import GaussianScore, geometric_levels
+from tdas.scores import EmpiricalScore, GaussianScore, geometric_levels
 from tdas.transforms import PermutationMap
 from tdas.validate import (
     check_theorem1,
@@ -63,6 +67,70 @@ class TestDeviationDecomposition:
 
         d = json.loads(rep.to_json())
         assert {"lhs", "rhs", "consistent", "standard_error"} <= set(d)
+
+
+def per_draw_theorem2(model, x_t, noise_gen, eps, n_mc, seed):
+    """Reference: the four terms summed one draw at a time."""
+    src = NoiseSource(seed)
+    drift = x_t + (eps / 2.0) * model.score(x_t, 0.0)
+    root_eps = math.sqrt(eps)
+    lhs, c1, var, corr = (np.empty(n_mc) for _ in range(4))
+    for j in range(n_mc):
+        x_star = model.sample_target(src)
+        z = noise_gen(x_star, src)
+        a = x_star - drift
+        lhs[j] = np.sum((a - root_eps * z) ** 2)
+        c1[j] = np.sum(a**2)
+        var[j] = eps * np.sum(z**2)
+        corr[j] = 2.0 * root_eps * np.sum(x_star * z)
+    return validate.DeviationReport(
+        lhs=float(lhs.mean()), c1_term=float(c1.mean()), variance_term=float(var.mean()),
+        correlation_term=float(corr.mean()), mc_samples=n_mc,
+        standard_error=float(lhs.std(ddof=1) / math.sqrt(n_mc)))
+
+
+class SmoothedEmpirical(EmpiricalScore):
+    """Empirical target (sample_target draws integers) with a score defined at sigma 0."""
+
+    def score(self, x, sigma):
+        return super().score(x, max(sigma, 0.5))
+
+
+def _gaussian(shape):
+    return GaussianScore(np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape), 1.3)
+
+
+def _empirical(shape):
+    items = np.random.Generator(np.random.PCG64(8)).standard_normal((9,) + shape)
+    return SmoothedEmpirical(ImageDataset(items))
+
+
+class TestDeviationBlocks:
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 5, 7)])
+    @pytest.mark.parametrize("make_model", [_gaussian, _empirical])
+    @pytest.mark.parametrize("noise_gen", [lambda xs, src: src.normal(xs.shape),
+                                           lambda xs, src: xs, lambda xs, src: -xs],
+                             ids=["independent", "aligned", "anti"])
+    def test_equals_per_draw_loop(self, monkeypatch, shape, make_model, noise_gen):
+        # 37 draws per block: 250 draws span seven blocks, the last one partial.
+        draw_bytes = 8 * math.prod(shape)
+        monkeypatch.setattr(validate, "_THEOREM2_BLOCK_BYTES", 37 * draw_bytes + draw_bytes // 2)
+        model = make_model(shape)
+        x_t = np.random.Generator(np.random.PCG64(4)).standard_normal(shape)
+        got = check_theorem2(model, x_t, noise_gen, 0.02, 250, seed=6)
+        assert got == per_draw_theorem2(model, x_t, noise_gen, 0.02, 250, seed=6)
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # The CLI default: stacking every draw would take 2 * 100_000 * 2 KiB.
+        shape, n_mc = (1, 16, 16), 100_000
+        model = GaussianScore(np.zeros(shape), 1.0)
+        tracemalloc.start()
+        try:
+            check_theorem2(model, np.zeros(shape), lambda xs, src: xs, 0.01, n_mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * validate._THEOREM2_BLOCK_BYTES + 4 * 8 * n_mc
 
 
 class TestMetrics:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ImageDataset
 from .filters import DCT, DFT, FreqFilterParams, radial_distance_grid
-from .transforms import dct2, dft2
+from .transforms import dct2
 
 log = logging.getLogger(__name__)
 
@@ -27,8 +27,9 @@ DDPM = "ddpm"
 RATIO_FLOOR = 1e-12
 
 # freq_power_stats transforms at most this many bytes of images at once (one
-# image if a single one is larger). The DFT of a block peaks at four times its
-# size: a complex output and the transform's complex intermediate.
+# image if a single one is larger). The half-spectrum DFT of a block peaks at
+# twice its size: the complex H x (W//2+1) output and the transform's
+# intermediate of the same size.
 _STATS_BLOCK_BYTES = 4 << 20
 
 
@@ -75,22 +76,47 @@ def freq_power_stats(samples: ImageDataset, transform: str = DCT) -> FreqStats:
     """power(h, w) = mean over samples and channels of the squared spectrum.
 
     The images are transformed a block at a time and each squared (image,
-    channel) plane is added in order into one H x W sum: the sum a mean over
-    all the stacked spectra takes, bit for bit, without holding them.
+    channel) plane is added in order into one sum: the sum a mean over all
+    the stacked spectra takes, bit for bit, without holding them. The DFT of
+    a real image is conjugate-symmetric, so its power is summed over the half
+    spectrum of rfft2 (columns 0..W//2) and the grid is completed once at the
+    end, exactly symmetric: power(h, w) = power(-h mod H, -w mod W).
     """
     if transform not in (DCT, DFT):
         raise ValueError(f"unknown transform {transform!r}")
     items = samples.items
     count, channels, height, width = items.shape
+    columns = width // 2 + 1 if transform == DFT else width
     per_block = max(1, _STATS_BLOCK_BYTES // items[0].nbytes)
-    total = np.zeros((height, width))
+    total = np.zeros((height, columns))
     for start in range(0, count, per_block):
         block = items[start:start + per_block]
-        power = dct2(block) if transform == DCT else np.abs(dft2(block))
-        np.square(power, out=power)
-        for plane in power.reshape(-1, height, width):
-            total += plane
+        if transform == DCT:
+            power = dct2(block)
+            np.square(power, out=power)
+            for plane in power.reshape(-1, height, columns):
+                total += plane
+        else:
+            for plane in np.fft.rfft2(block, axes=(-2, -1)).reshape(-1, height, columns):
+                total += plane.real ** 2 + plane.imag ** 2
+    if transform == DFT:
+        total = _mirror_columns(total, width)
     return FreqStats(total / (count * channels), transform, len(samples))
+
+
+def _mirror_columns(half: np.ndarray, width: int) -> np.ndarray:
+    """The H x width grid power(h, w) = power(-h mod H, -w mod width) from its
+    columns 0..width // 2. Columns 0 and, for even width, width / 2 are their
+    own mirror images; their rows below H // 2 are copied from those above."""
+    height, kept = half.shape
+    rows = -np.arange(height) % height
+    full = np.empty((height, width))
+    full[:, :kept] = half
+    full[:, kept:] = half[rows[:, None], width - np.arange(kept, width)]
+    lower = np.arange(height // 2 + 1, height)[:, None]
+    own = [0, width // 2] if width % 2 == 0 else [0]
+    full[lower, own] = half[rows[lower], own]
+    return full
 
 
 def ratio_grid(generated: FreqStats, reference: FreqStats) -> RatioGrid:

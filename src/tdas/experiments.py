@@ -131,7 +131,13 @@ def run_calibration_trend(iteration_counts=(400, 200, 100, 50),
                           n_samples: int = N_SAMPLES, transform: str = DFT) -> list[dict]:
     """Calibrated (lambda1, lambda2) per generating iteration count, against a
     shared large-T reference. Fewer iterations mean more high-frequency excess,
-    so both lambdas should fall as the counts shrink."""
+    so both lambdas should fall as the counts shrink.
+
+    The 50-iteration row comes from chains that ran away: every chain ends
+    with max |x| above 1e13, because the top level's step exceeds the Langevin
+    stability limit (|1 - eps/(2 sigma^2)| ~ 1.8 at sigma = 2). The sampler
+    raises DivergenceError only on non-finite states, so the row is computed
+    from them all the same."""
     model, reference = _reference(STRUCTURED_SPEC, n_samples)
     ref_stats = freq_power_stats(reference, transform)
     rows = []

@@ -56,21 +56,22 @@ def _oval_template(shape):
 
 
 def generate(spec: SynthSpec) -> ImageDataset:
+    """spec.count images, drawn in order from one NoiseSource(spec.seed) into
+    one preallocated array."""
     src = NoiseSource(spec.seed)
     c, height, width = spec.shape
-    if spec.kind == UNSTRUCTURED:
-        items = np.stack([src.normal(spec.shape) for _ in range(spec.count)])
-    elif spec.kind == LOW_FREQ_BLOBS:
+    items = np.empty((spec.count,) + tuple(spec.shape))
+    if spec.kind != UNSTRUCTURED:
         mag = _decay_magnitude(height, width, spec.spectral_decay)
-        items = np.stack(
-            [idct2(mag * src.normal(spec.shape)) for _ in range(spec.count)]
-        )
-    else:  # FACE_LIKE
+    if spec.kind == FACE_LIKE:
         template = _oval_template(spec.shape)
-        mag = _decay_magnitude(height, width, spec.spectral_decay)
-        items = np.stack(
-            [template + 0.1 * idct2(mag * src.normal(spec.shape)) for _ in range(spec.count)]
-        )
+    for item in items:
+        if spec.kind == UNSTRUCTURED:
+            item[...] = src.normal(spec.shape)
+        elif spec.kind == LOW_FREQ_BLOBS:
+            item[...] = idct2(mag * src.normal(spec.shape))
+        else:  # FACE_LIKE
+            item[...] = template + 0.1 * idct2(mag * src.normal(spec.shape))
     return ImageDataset(items)
 
 

@@ -24,7 +24,22 @@ from tdas.calib import (
 )
 from tdas.core import ImageDataset
 from tdas.filters import DCT, DFT, radial_distance_grid
-from tdas.transforms import dct2, dft2
+from tdas.transforms import dct2, dft2_naive
+
+
+def mirrored_rfft2_power(items):
+    """Stacked mean of the rfft2 power, with each cell outside the half
+    spectrum filled from its mirror image (-h mod H, -w mod W): of the two,
+    the one that comes first in (w, h) order is the one kept."""
+    spectrum = np.fft.rfft2(items, axes=(-2, -1))
+    half = (spectrum.real ** 2 + spectrum.imag ** 2).mean(axis=(0, 1))
+    height, width = items.shape[-2:]
+    full = np.empty((height, width))
+    for h in range(height):
+        for w in range(width):
+            kept_w, kept_h = min((w, h), (-w % width, -h % height))
+            full[h, w] = half[kept_h, kept_w]
+    return full
 
 
 def brute_quantile(values, alpha):
@@ -82,8 +97,23 @@ class TestStatsAndRatio:
         x = ImageDataset(np.random.default_rng(4).standard_normal(shape))
         assert np.array_equal(freq_power_stats(x, DCT).power,
                               (dct2(x.items) ** 2).mean(axis=(0, 1)))
-        assert np.array_equal(freq_power_stats(x, DFT).power,
-                              (np.abs(dft2(x.items)) ** 2).mean(axis=(0, 1)))
+        assert np.array_equal(freq_power_stats(x, DFT).power, mirrored_rfft2_power(x.items))
+
+    @pytest.mark.parametrize("shape", [(3, 1, 9, 7), (3, 2, 16, 16), (2, 1, 10, 7), (2, 1, 9, 8),
+                                       (2, 1, 1, 5), (2, 1, 5, 1)])
+    def test_dft_power_is_exactly_conjugate_symmetric(self, shape):
+        x = ImageDataset(np.random.default_rng(6).standard_normal(shape))
+        power = freq_power_stats(x, DFT).power
+        height, width = power.shape
+        for h in range(height):
+            for w in range(width):
+                assert power[h, w] == power[-h % height, -w % width]
+
+    @pytest.mark.parametrize("shape", [(4, 1, 9, 7), (3, 3, 16, 16), (2, 3, 12, 9)])
+    def test_dft_power_matches_the_naive_dft(self, shape):
+        x = ImageDataset(np.random.default_rng(7).standard_normal(shape))
+        naive = (np.abs(dft2_naive(x.items)) ** 2).mean(axis=(0, 1))
+        assert np.allclose(freq_power_stats(x, DFT).power, naive, rtol=1e-13, atol=0)
 
     def test_block_sets_span_several_blocks(self):
         # The two largest sets above are transformed a block at a time.

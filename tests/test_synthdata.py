@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from tdas.calib import freq_power_stats
+from tdas.core import NoiseSource
 from tdas.synthdata import (
     FACE_LIKE,
+    KINDS,
     LOW_FREQ_BLOBS,
     UNSTRUCTURED,
     SynthSpec,
+    _decay_magnitude,
+    _oval_template,
     generate,
     radial_power_profile,
 )
+from tdas.transforms import idct2
 
 
 class TestSpec:
@@ -28,6 +33,22 @@ class TestGenerate:
     def test_deterministic(self):
         spec = SynthSpec(LOW_FREQ_BLOBS, 4, (1, 8, 8), seed=9)
         assert np.array_equal(generate(spec).items, generate(spec).items)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_the_item_by_item_stack(self, kind):
+        spec = SynthSpec(kind, 5, (2, 9, 7), spectral_decay=1.3, seed=12)
+        src = NoiseSource(spec.seed)
+        mag = _decay_magnitude(9, 7, spec.spectral_decay)
+        items = []
+        for _ in range(spec.count):
+            noise = src.normal(spec.shape)
+            if kind == UNSTRUCTURED:
+                items.append(noise)
+            elif kind == LOW_FREQ_BLOBS:
+                items.append(idct2(mag * noise))
+            else:
+                items.append(_oval_template(spec.shape) + 0.1 * idct2(mag * noise))
+        assert np.array_equal(generate(spec).items, np.stack(items))
 
     def test_shapes(self):
         ds = generate(SynthSpec(FACE_LIKE, 3, (2, 10, 12), seed=0))

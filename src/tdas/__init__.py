@@ -7,10 +7,10 @@ __version__ = "0.1.0"
 from .core import (
     ImageDataset,
     NoiseSource,
-    draw_normal,
     export_image,
     load_dataset,
     load_tensor,
+    normal_blocks,
     save_dataset,
     save_tensor,
 )

@@ -7,6 +7,7 @@ shape (C, H, W). Masks, noises, scores, and images all share this carrier.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,11 +101,26 @@ class NoiseSource:
         return int(self._gen.integers(low, high))
 
 
-def draw_normal(source: NoiseSource, shape) -> np.ndarray:
-    """Draw an i.i.d. standard-normal tensor of shape (C, H, W)."""
+# Noise is drawn, and Monte-Carlo terms reduced, in blocks of at most this many
+# bytes (one item per block if a single item is larger).
+BLOCK_BYTES = 1 << 19
+
+
+def normal_blocks(source: NoiseSource, shape, count: int):
+    """Yield count i.i.d. standard-normal tensors of shape (C, H, W), stacked
+    into (k, C, H, W) blocks of at most BLOCK_BYTES (k >= 1).
+
+    The rows are, bit for bit, the tensors that count successive
+    source.normal(shape) calls would give, and exactly count are drawn, so the
+    source ends where those calls would leave it.
+    """
+    shape = tuple(shape)
     if len(shape) != 3:
         raise ValueError(f"expected a (C, H, W) shape, got {shape}")
-    return source.normal(shape)
+    step_bytes = 8 * math.prod(shape)  # 0 for an empty shape, which source.normal rejects
+    per_block = max(1, BLOCK_BYTES // max(1, step_bytes))
+    for start in range(0, count, per_block):
+        yield source.normal((min(per_block, count - start),) + shape)
 
 
 def save_tensor(t: np.ndarray, path) -> None:

@@ -3,7 +3,10 @@
 Vanilla sampling is the identity noise regulator, TDAS regulates each step's
 noise with apply_tdas, the transform-domain variant used by the equivalence
 harness conjugates the loop by an orthogonal map, and sample_batch runs a stack
-of chains with per-chain noise streams.
+of chains with per-chain noise streams. Noise reaches the loop in blocks whose
+leading axis is the step, regulated once per block: a single chain draws as
+many steps as fit in core.BLOCK_BYTES per generator call, and sample_batch's
+blocks are one step deep.
 """
 
 from __future__ import annotations
@@ -12,16 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSource, draw_normal
+from .core import NoiseSource, normal_blocks
 from .filters import DCT, SpaceFilter, apply_tdas, identity_space_mask
 from .scores import NoiseLevels
 from .transforms import Dct2Map, OrthogonalMap
 
 
 class DivergenceError(Exception):
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at sampling step {step}")
+    """A chain's state became non-finite at sampling step `step`.
+
+    level is the noise-level index of that step, sigma its noise level and
+    chains the indices of the chains whose state is non-finite (0 for a single
+    chain). Single chains draw their noise a block of steps ahead, so their
+    NoiseSource has already advanced past the failing step.
+    """
+
+    def __init__(self, step: int, level: int, sigma: float, chains: tuple):
+        super().__init__(f"non-finite state at sampling step {step} (noise level {level}, "
+                         f"sigma {sigma:.6g}, chains {list(chains)})")
         self.step = step
+        self.level = level
+        self.sigma = sigma
+        self.chains = chains
 
 
 @dataclass(frozen=True)
@@ -62,32 +77,57 @@ def _same(z):
     return z
 
 
-def _anneal(score, cfg: SamplerConfig, draw, regulate=_same, fmap: OrthogonalMap | None = None,
+def _rows(blocks, regulate):
+    """Regulate each block once and hand out its rows one step at a time.
+
+    A raw block is dropped once it is regulated, and the regulated block once
+    the caller lets go of its last row.
+    """
+    for block in blocks:
+        block = regulate(block)
+        yield from block
+        del block
+
+
+def _nonfinite_chains(x) -> tuple:
+    """Indices of the chains in a stack (one index, 0, for a single chain)
+    whose state has a non-finite entry."""
+    finite = np.isfinite(x).reshape(x.shape[:-3] + (-1,)).all(axis=-1)
+    return tuple(int(i) for i in np.flatnonzero(~finite))
+
+
+def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, fmap: OrthogonalMap | None = None,
             max_steps=None, observe=None):
     """The annealed Langevin loop behind every entry point; leading axes pass through.
 
-    draw() gives a standard-normal block and regulate(z) filters it (apply_tdas,
-    or the identity for unfiltered sampling); the initial state and every step's
-    noise are regulate(draw()). With fmap the state lives in the transform domain:
-    the score is evaluated by mapping back, noise enters as F[regulate(z)], and the
-    result is mapped back before the optional final denoising step. observe(state)
-    sees the initial state and the state after every step; states are never
-    updated in place, so an observer may keep them without copying.
+    blocks yields standard-normal blocks whose leading axis is the step, and
+    regulate(block) filters one (apply_tdas, or the identity for unfiltered
+    sampling); the initial state takes the first regulated row and step t the
+    row after. With fmap the state lives in the transform domain: each
+    regulated block is mapped forward once, the score is evaluated by mapping
+    back, and the result is mapped back before the optional final denoising
+    step. observe(state) sees the initial state and the state after every step;
+    states are never updated in place, so an observer may keep them without
+    copying.
     """
-    step_score, noise = score, lambda: regulate(draw())
+    step_score, noise_map = score, regulate
     if fmap is not None:
         step_score = lambda xt, sigma: fmap.forward(score(fmap.inverse(xt), sigma))
-        noise = lambda: fmap.forward(regulate(draw()))
-    x = noise()
+        noise_map = lambda z: fmap.forward(regulate(z))
+    noise = _rows(blocks, noise_map)
+    x = next(noise)
     if observe is not None:
         observe(x)
     for t, sigma, eps in cfg.schedule():
         if max_steps is not None and t >= max_steps:
             break
-        eta = noise()
+        # eta holds its block until the next step's row replaces it, as per-step
+        # draws did: freeing a batch's regulated block before the next draw let
+        # the heap shrink and fault its pages back in on every step.
+        eta = next(noise)
         x = x + (eps / 2.0) * step_score(x, sigma) + np.sqrt(eps) * eta
         if not np.all(np.isfinite(x)):
-            raise DivergenceError(t)
+            raise DivergenceError(t, t // cfg.levels.steps_per_level, sigma, _nonfinite_chains(x))
         if observe is not None:
             observe(x)
     if fmap is not None:
@@ -97,21 +137,27 @@ def _anneal(score, cfg: SamplerConfig, draw, regulate=_same, fmap: OrthogonalMap
     return x
 
 
+def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, max_steps):
+    """Blocks of exactly the draws one chain consumes: the initial state and
+    one per step that runs."""
+    steps = cfg.total_steps if max_steps is None else max(0, min(cfg.total_steps, max_steps))
+    return normal_blocks(src, shape, steps + 1)
+
+
 # The entry points below are thin calls into _anneal and never call each other,
 # so a wrapper around one of them sees each chain step once.
 
 def langevin_sample(model, cfg: SamplerConfig, src: NoiseSource, space: SpaceFilter,
                     freq: np.ndarray):
     """Filtered annealed Langevin chain: init and every noise pass through the masks."""
-    shape = space.mask.shape
-    return _anneal(model.score, cfg, lambda: draw_normal(src, shape),
+    return _anneal(model.score, cfg, _chain_noise(src, space.mask.shape, cfg, None),
                    lambda z: apply_tdas(z, space, freq, cfg.transform))
 
 
 def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, max_steps=None,
                    observe=None):
     """Unfiltered annealed Langevin chain (the all-ones-mask case)."""
-    return _anneal(model.score, cfg, lambda: draw_normal(src, shape),
+    return _anneal(model.score, cfg, _chain_noise(src, shape, cfg, max_steps),
                    max_steps=max_steps, observe=observe)
 
 
@@ -119,7 +165,7 @@ def freq_domain_sample(model, cfg: SamplerConfig, src: NoiseSource, shape,
                        fmap: OrthogonalMap | None = None, max_steps=None, observe=None):
     """Unfiltered chain conjugated by an orthogonal map (DCT by default): the
     state, and what observe sees, live in the transform domain."""
-    return _anneal(model.score, cfg, lambda: draw_normal(src, shape),
+    return _anneal(model.score, cfg, _chain_noise(src, shape, cfg, max_steps),
                    fmap=Dct2Map() if fmap is None else fmap, max_steps=max_steps,
                    observe=observe)
 
@@ -148,5 +194,7 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     if freq is None:
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
-    draw = lambda: np.stack([draw_normal(s, shape) for s in sources])
-    return _anneal(model.score_batch, cfg, draw, lambda z: apply_tdas(z, space, freq, cfg.transform))
+    blocks = (np.stack([s.normal(shape) for s in sources])[None]
+              for _ in range(cfg.total_steps + 1))
+    return _anneal(model.score_batch, cfg, blocks,
+                   lambda z: apply_tdas(z, space, freq, cfg.transform))

@@ -70,7 +70,10 @@ def dft2_naive(t: np.ndarray) -> np.ndarray:
 
 
 class OrthogonalMap:
-    """Invertible linear map on (C, H, W) tensors with orthogonal representation matrix."""
+    """Invertible linear map on (C, H, W) tensors with orthogonal representation matrix.
+
+    forward and inverse act on the last three axes, so they also take stacks.
+    """
 
     def forward(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError

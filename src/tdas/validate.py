@@ -11,15 +11,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calib import freq_power_stats, ratio_grid
-from .core import ImageDataset, NoiseSource, draw_normal
+from .core import BLOCK_BYTES, ImageDataset, NoiseSource
 from .filters import DCT
 from .sampler import SamplerConfig, freq_domain_sample, vanilla_sample
 from .transforms import Dct2Map, OrthogonalMap
-
-# check_theorem2 holds at most this many bytes of target draws, and as many of
-# noise draws, at once (one draw if a single one is larger); the block's
-# temporaries peak at a few times that.
-_THEOREM2_BLOCK_BYTES = 1 << 19
 
 
 def check_theorem1(model, cfg: SamplerConfig, seed: int, steps: int, shape=(1, 16, 16),
@@ -80,9 +75,11 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     x_t is held fixed, so the filtration condition reduces to E[z] = 0 while z
     may correlate with the target draw x*. noise_gen(x_star, src) produces the
     noise for each draw. Draws are made one at a time, in stream order, into a
-    block of at most _THEOREM2_BLOCK_BYTES per buffer; the four terms are then
-    reduced a block at a time. Each row's sum is the float64 pairwise sum np.sum
-    makes on that draw alone, so the result does not depend on the block size.
+    block of at most BLOCK_BYTES per buffer (one draw if a single one is
+    larger; the block's temporaries peak at a few times that); the four terms
+    are then reduced a block at a time. Each row's sum is the float64 pairwise
+    sum np.sum makes on that draw alone, so the result does not depend on the
+    block size.
     """
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
@@ -95,7 +92,7 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     var_vals = np.empty(n_mc)
     corr_vals = np.empty(n_mc)
     root_eps = math.sqrt(eps)
-    per_block = max(1, min(n_mc, _THEOREM2_BLOCK_BYTES // drift.nbytes))
+    per_block = max(1, min(n_mc, BLOCK_BYTES // drift.nbytes))
     x_block = np.empty((per_block,) + drift.shape)
     z_block = np.empty_like(x_block)
     axes = tuple(range(1, x_block.ndim))

@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from tdas.core import NoiseSource
-from tdas.filters import SpaceFilter, build_freq_mask, FreqFilterParams, identity_space_mask
+from tdas.filters import (
+    DCT,
+    DFT,
+    FreqFilterParams,
+    SpaceFilter,
+    build_freq_mask,
+    identity_space_mask,
+)
 from tdas.sampler import (
     DivergenceError,
     SamplerConfig,
@@ -77,6 +86,30 @@ class TestLoops:
         with pytest.raises(DivergenceError) as exc:
             vanilla_sample(model, make_cfg(), NoiseSource(0), (1, 4, 4))
         assert exc.value.step == 0
+        assert exc.value.level == 0
+        assert exc.value.sigma == make_cfg().levels.sigmas[0]
+        assert exc.value.chains == (0,)
+
+    def test_divergence_reports_level_sigma_and_chains(self):
+        # Below sigma 0.5, chains whose first pixel is positive get an infinite score.
+        class ExplodingLate(GaussianScore):
+            def score(self, x, sigma=0.0):
+                if sigma < 0.5 and x[0, 0, 0] > 0:
+                    return np.full_like(x, np.inf)
+                return super().score(x, sigma)
+
+        shape, cfg, n = (1, 4, 4), make_cfg(), 8
+        first = 2 * cfg.levels.steps_per_level  # sigmas 1, 0.56, 0.32, ...
+        with pytest.raises(DivergenceError) as exc:
+            sample_batch(ExplodingLate(np.zeros(shape), 1.0), cfg, 42, n, shape=shape)
+        before = [vanilla_sample(GaussianScore(np.zeros(shape), 1.0), cfg,
+                                 NoiseSource.for_worker(42, i), shape, max_steps=first)
+                  for i in range(n)]
+        expected = tuple(i for i in range(n) if before[i][0, 0, 0] > 0)
+        assert 0 < len(expected) < n
+        assert (exc.value.step, exc.value.level) == (first, 2)
+        assert exc.value.sigma == cfg.levels.sigmas[2]
+        assert exc.value.chains == expected
 
     def test_denoise_final_step(self):
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
@@ -94,6 +127,31 @@ class TestLoops:
         v = vanilla_sample(model, cfg, NoiseSource(0), (1, 8, 8))
         f = langevin_sample(model, cfg, NoiseSource(0), identity_space_mask((1, 8, 8)), freq)
         assert not np.allclose(v, f)
+
+
+class TestStreamPosition:
+    # Each chain draws its initial state and one noise tensor per step it runs,
+    # and no more, however the draws are blocked.
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 12, 9)])
+    @pytest.mark.parametrize("entry, max_steps",
+                             [(e, m) for e in ("vanilla", "freq_domain") for m in (None, 0, 7, 10_000)]
+                             + [("langevin", None)])
+    def test_source_ends_after_the_draws_consumed(self, shape, entry, max_steps):
+        model = GaussianScore(np.zeros(shape), 1.0)
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 5, 50))
+        src = NoiseSource(3)
+        if entry == "vanilla":
+            vanilla_sample(model, cfg, src, shape, max_steps=max_steps)
+        elif entry == "freq_domain":
+            freq_domain_sample(model, cfg, src, shape, max_steps=max_steps)
+        else:
+            langevin_sample(model, cfg, src, identity_space_mask(shape),
+                            build_freq_mask(FreqFilterParams(0.5, 0.2, 0.2, 0.4), shape))
+        n = cfg.total_steps if max_steps is None else min(cfg.total_steps, max_steps)
+        fresh = NoiseSource(3)
+        for _ in range(n + 1):
+            fresh.normal(shape)
+        assert np.array_equal(src.normal(shape), fresh.normal(shape))
 
 
 class TestFreqDomainLoop:
@@ -153,7 +211,23 @@ class TestSampleBatch:
         batch = sample_batch(model, cfg, 42, 3, shape=(1, 4, 4))
         for i in range(3):
             single = vanilla_sample(model, cfg, NoiseSource.for_worker(42, i), (1, 4, 4))
-            assert np.allclose(batch[i], single, atol=1e-12)
+            assert np.array_equal(batch[i], single)
+
+    # Per-step sizes of 128 B and 2,592 B (below the 512-KiB noise block; the
+    # second does not divide it, and its 251 draws span two blocks) and of
+    # 528 KiB (above it, one step per block).
+    @pytest.mark.parametrize("shape, levels", [((1, 4, 4), (5, 4)), ((3, 12, 9), (5, 50)),
+                                               ((1, 260, 260), (2, 2))])
+    @pytest.mark.parametrize("transform", [DCT, DFT])
+    def test_filtered_chains_match_batch_rows(self, shape, levels, transform):
+        model = GaussianScore(np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape), 0.8)
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, *levels), transform=transform)
+        space = SpaceFilter(np.linspace(0.4, 1.0, math.prod(shape)).reshape(shape))
+        freq = build_freq_mask(FreqFilterParams(0.9, 0.6, 0.2, 0.35, transform=transform), shape)
+        batch = sample_batch(model, cfg, 42, 3, space=space, freq=freq)
+        for i in range(3):
+            single = langevin_sample(model, cfg, NoiseSource.for_worker(42, i), space, freq)
+            assert np.array_equal(batch[i], single)
 
     def test_needs_shape_or_mask(self):
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)

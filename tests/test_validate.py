@@ -114,7 +114,7 @@ class TestDeviationBlocks:
     def test_equals_per_draw_loop(self, monkeypatch, shape, make_model, noise_gen):
         # 37 draws per block: 250 draws span seven blocks, the last one partial.
         draw_bytes = 8 * math.prod(shape)
-        monkeypatch.setattr(validate, "_THEOREM2_BLOCK_BYTES", 37 * draw_bytes + draw_bytes // 2)
+        monkeypatch.setattr(validate, "BLOCK_BYTES", 37 * draw_bytes + draw_bytes // 2)
         model = make_model(shape)
         x_t = np.random.Generator(np.random.PCG64(4)).standard_normal(shape)
         got = check_theorem2(model, x_t, noise_gen, 0.02, 250, seed=6)
@@ -130,7 +130,7 @@ class TestDeviationBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * validate._THEOREM2_BLOCK_BYTES + 4 * 8 * n_mc
+        assert peak < 8 * validate.BLOCK_BYTES + 4 * 8 * n_mc
 
 
 class TestMetrics:

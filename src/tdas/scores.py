@@ -40,7 +40,8 @@ class ScoreModel:
         """Score of a (B, C, H, W) stack of chains, one score call per chain."""
         return np.stack([self.score(xi, sigma) for xi in x])
 
-    def sample_target(self, src: NoiseSource) -> np.ndarray:
+    def sample_targets(self, src: NoiseSource, n: int) -> np.ndarray:
+        """An (n, C, H, W) stack of n target draws, in stream order."""
         raise NotImplementedError
 
 
@@ -59,8 +60,9 @@ class GaussianScore(ScoreModel):
         d = x.size
         return -0.5 * np.sum((x - self.mu) ** 2) / var - 0.5 * d * np.log(2 * np.pi * var)
 
-    def sample_target(self, src):
-        return self.mu + self.s0 * src.normal(np.shape(self.mu))
+    def sample_targets(self, src, n):
+        # One (n,)+shape draw equals n successive draws bit for bit.
+        return self.mu + self.s0 * src.normal((n,) + np.shape(self.mu))
 
 
 @dataclass
@@ -117,8 +119,8 @@ class EmpiricalScore(ScoreModel):
         log_norm = -0.5 * d * np.log(2 * np.pi * sigma**2)
         return float(logsumexp(-sq[0] / (2 * sigma**2)) - np.log(len(self.ds)) + log_norm)
 
-    def sample_target(self, src):
-        return self.ds[src.integers(0, len(self.ds))].copy()
+    def sample_targets(self, src, n):
+        return self.ds.items[[src.integers(0, len(self.ds)) for _ in range(n)]]
 
 
 @dataclass(frozen=True)

@@ -73,19 +73,23 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     """Estimate both sides of the deviation decomposition from shared draws.
 
     x_t is held fixed, so the filtration condition reduces to E[z] = 0 while z
-    may correlate with the target draw x*. noise_gen(x_star, src) produces the
-    noise for each draw. Draws are made one at a time, in stream order, into a
-    block of at most BLOCK_BYTES per buffer (one draw if a single one is
-    larger; the block's temporaries peak at a few times that); the four terms
-    are then reduced a block at a time. Each row's sum is the float64 pairwise
-    sum np.sum makes on that draw alone, so the result does not depend on the
-    block size.
+    may correlate with the target draw x*. Targets come from the stream
+    NoiseSource(seed), one model.sample_targets call per block of at most
+    BLOCK_BYTES (one draw if a single one is larger; the block's temporaries
+    peak at a few times that). noise_gen(x_star, src) makes each draw's noise
+    from a stream of its own, NoiseSource.for_worker(seed, 0), so the targets
+    do not depend on noise_gen: regimes run at one seed are paired on the same
+    target draws. noise_gen gets read-only target rows and must return a
+    tensor of their shape (ValueError otherwise). The four terms are reduced
+    a block at a time; each row's sum is the float64 pairwise sum np.sum
+    makes on that draw alone, so the result does not depend on the block size.
     """
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    src = NoiseSource(seed)
+    target_src = NoiseSource(seed)
+    noise_src = NoiseSource.for_worker(seed, 0)
     drift = x_t + (eps / 2.0) * model.score(x_t, 0.0)
     lhs_vals = np.empty(n_mc)
     c1_vals = np.empty(n_mc)
@@ -93,17 +97,16 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     corr_vals = np.empty(n_mc)
     root_eps = math.sqrt(eps)
     per_block = max(1, min(n_mc, BLOCK_BYTES // drift.nbytes))
-    x_block = np.empty((per_block,) + drift.shape)
-    z_block = np.empty_like(x_block)
-    axes = tuple(range(1, x_block.ndim))
+    axes = tuple(range(1, drift.ndim + 1))
     for start in range(0, n_mc, per_block):
         n = min(per_block, n_mc - start)
         rows = slice(start, start + n)
-        xs, z = x_block[:n], z_block[:n]
-        for j in range(n):
-            x_star = model.sample_target(src)
-            xs[j] = x_star
-            z[j] = noise_gen(x_star, src)
+        xs = model.sample_targets(target_src, n)
+        xs.flags.writeable = False
+        z = np.stack([noise_gen(x_star, noise_src) for x_star in xs])
+        if z.shape != xs.shape:
+            raise ValueError(f"noise_gen returned shape {z.shape[1:]}, "
+                             f"expected the target's {xs.shape[1:]}")
         a = xs - drift
         lhs_vals[rows] = np.sum((a - root_eps * z) ** 2, axis=axes)
         c1_vals[rows] = np.sum(a**2, axis=axes)

@@ -45,7 +45,7 @@ class TestGaussianScore:
     def test_sample_target_moments(self):
         m = GaussianScore(np.full((1, 4, 4), 2.0), s0=0.5)
         src = NoiseSource(0)
-        draws = np.stack([m.sample_target(src) for _ in range(4000)])
+        draws = m.sample_targets(src, 4000)
         assert abs(draws.mean() - 2.0) < 0.02
         assert abs(draws.std() - 0.5) < 0.02
 
@@ -99,8 +99,23 @@ class TestEmpiricalScore:
     def test_sample_target_returns_items(self, small_dataset):
         m = EmpiricalScore(small_dataset)
         src = NoiseSource(3)
-        draw = m.sample_target(src)
-        assert any(np.array_equal(draw, item) for item in small_dataset.items)
+        for draw in m.sample_targets(src, 5):
+            assert any(np.array_equal(draw, item) for item in small_dataset.items)
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda ds: GaussianScore(np.linspace(-1.0, 1.0, 64).reshape(1, 8, 8), 0.7),
+    EmpiricalScore,
+], ids=["gaussian", "empirical"])
+def test_sample_targets_are_successive_draws(make_model, small_dataset):
+    m = make_model(small_dataset)
+    block_src, one_src = NoiseSource(12), NoiseSource(12)
+    block = m.sample_targets(block_src, 37)
+    singles = np.stack([m.sample_targets(one_src, 1)[0] for _ in range(37)])
+    assert block.shape == (37, 1, 8, 8)
+    assert np.array_equal(block, singles)
+    assert np.array_equal(block_src.normal((5,)), one_src.normal((5,)))
+    assert block_src.integers(0, 1000) == one_src.integers(0, 1000)
 
 
 class _MatmulRecorder(np.ndarray):

@@ -70,14 +70,16 @@ class TestDeviationDecomposition:
 
 
 def per_draw_theorem2(model, x_t, noise_gen, eps, n_mc, seed):
-    """Reference: the four terms summed one draw at a time."""
+    """Reference: the four terms summed one draw at a time, targets from
+    NoiseSource(seed) and noise from its child stream for_worker(seed, 0)."""
     src = NoiseSource(seed)
+    noise_src = NoiseSource.for_worker(seed, 0)
     drift = x_t + (eps / 2.0) * model.score(x_t, 0.0)
     root_eps = math.sqrt(eps)
     lhs, c1, var, corr = (np.empty(n_mc) for _ in range(4))
     for j in range(n_mc):
-        x_star = model.sample_target(src)
-        z = noise_gen(x_star, src)
+        x_star = model.sample_targets(src, 1)[0]
+        z = noise_gen(x_star, noise_src)
         a = x_star - drift
         lhs[j] = np.sum((a - root_eps * z) ** 2)
         c1[j] = np.sum(a**2)
@@ -90,7 +92,7 @@ def per_draw_theorem2(model, x_t, noise_gen, eps, n_mc, seed):
 
 
 class SmoothedEmpirical(EmpiricalScore):
-    """Empirical target (sample_target draws integers) with a score defined at sigma 0."""
+    """Empirical target (sample_targets draws integers) with a score defined at sigma 0."""
 
     def score(self, x, sigma):
         return super().score(x, max(sigma, 0.5))
@@ -131,6 +133,40 @@ class TestDeviationBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * validate.BLOCK_BYTES + 4 * 8 * n_mc
+
+
+class TestTheorem2Draws:
+    def test_regimes_share_their_targets(self, monkeypatch):
+        shape, n_mc, seed = (2, 3, 5), 300, 9
+        draw_bytes = 8 * math.prod(shape)
+        monkeypatch.setattr(validate, "BLOCK_BYTES", 41 * draw_bytes)
+        model = _gaussian(shape)
+        x_t = np.random.Generator(np.random.PCG64(4)).standard_normal(shape)
+        reps = [check_theorem2(model, x_t, gen, 0.02, n_mc, seed=seed)
+                for gen in (lambda xs, src: src.normal(xs.shape),
+                            lambda xs, src: xs, lambda xs, src: -xs)]
+        drift = x_t + 0.01 * model.score(x_t, 0.0)
+        xs = model.sample_targets(NoiseSource(seed), n_mc)
+        c1 = float(np.mean([np.sum((x - drift) ** 2) for x in xs]))
+        assert [r.c1_term for r in reps] == [c1] * 3
+
+    @pytest.mark.parametrize("noise_gen", [lambda xs, src: 0.0,
+                                           lambda xs, src: np.zeros((1, 1, 1)),
+                                           lambda xs, src: src.normal((1, 4, 3))],
+                             ids=["scalar", "broadcastable", "transposed"])
+    def test_rejects_noise_of_another_shape(self, noise_gen):
+        model = GaussianScore(np.zeros((1, 3, 4)), 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            check_theorem2(model, np.zeros((1, 3, 4)), noise_gen, 0.01, 100)
+
+    def test_noise_gen_cannot_change_the_targets(self):
+        def in_place(xs, src):
+            xs *= -1.0
+            return xs
+
+        model = GaussianScore(np.zeros((1, 3, 4)), 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            check_theorem2(model, np.zeros((1, 3, 4)), in_place, 0.01, 100)
 
 
 class TestMetrics:

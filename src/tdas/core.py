@@ -90,11 +90,22 @@ class NoiseSource:
         src._gen = np.random.Generator(np.random.PCG64(child))
         return src
 
-    def normal(self, shape) -> np.ndarray:
-        # numpy rejects negative dims itself, and an empty draw consumes no stream.
-        out = self._gen.standard_normal(shape)
+    def normal(self, shape=None, out=None) -> np.ndarray:
+        """A standard-normal draw of the given shape. Given out, a
+        C-contiguous float64 array whose shape stands in for shape, the draw
+        is written into out and out is returned: bit for bit the sized draw,
+        with the stream left where that draw leaves it."""
+        if out is None and shape is None:
+            raise TypeError("normal() needs a shape or an out array")
+        if out is not None and not out.flags.c_contiguous:
+            # numpy fills other contiguous layouts in memory order, which is
+            # not the sized draw's order.
+            raise ValueError("out must be C-contiguous")
+        # numpy rejects negative dims, a shape other than out's and an out of
+        # another dtype itself; an empty draw consumes no stream.
+        out = self._gen.standard_normal(shape, out=out)
         if out.size == 0:
-            raise ValueError(f"all dims must be >= 1, got {shape}")
+            raise ValueError(f"all dims must be >= 1, got {out.shape}")
         return out
 
     def integers(self, low, high) -> int:

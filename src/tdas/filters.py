@@ -10,7 +10,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import ImageDataset, DegenerateDatasetError, as_tensor
-from .transforms import dct2, idct2
+from .transforms import dct2, idct2, rdft2
 
 DCT = "dct"
 DFT = "dft"
@@ -146,12 +146,17 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         return z
     masked = z if space.is_identity else space.mask * z
     if transform == DCT:
-        return idct2(freq * dct2(masked))
+        spectrum = dct2(masked)
+        spectrum *= freq
+        return idct2(spectrum)
     if transform == DFT:
         if not _conjugate_symmetric(freq):
             raise ValueError("DFT mask is not conjugate-symmetric, M[h, w] != M[-h, -w]")
         height, width = masked.shape[-2:]
-        half = np.fft.rfft2(masked, axes=(-2, -1))
+        half = rdft2(masked)
         half *= freq[..., : width // 2 + 1]
+        # numpy's inverse, not scipy's: scipy scales by 1/(HW) once where
+        # numpy scales by 1/H and then 1/W, which moves the last bits when H
+        # is not a power of two (see the transforms module docstring).
         return np.fft.irfft2(half, s=(height, width), axes=(-2, -1))
     raise ValueError(f"unknown transform {transform!r}")

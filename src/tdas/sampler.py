@@ -144,6 +144,17 @@ def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, max_steps):
     return normal_blocks(src, shape, steps + 1)
 
 
+def _batch_noise(sources, shape, steps):
+    """steps (1, n, C, H, W) blocks, row i of each drawn from sources[i]
+    straight into a fresh block (a regulated block may be the raw one, and
+    the loop keeps rows of it)."""
+    for _ in range(steps):
+        block = np.empty((1, len(sources)) + tuple(shape))
+        for src, row in zip(sources, block[0]):
+            src.normal(out=row)
+        yield block
+
+
 # The entry points below are thin calls into _anneal and never call each other,
 # so a wrapper around one of them sees each chain step once.
 
@@ -184,6 +195,8 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     chains agree across batch sizes only to round-off.
     Returns an (n_chains, C, H, W) stack.
     """
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be >= 1, got {n_chains}")
     if space is None:
         if shape is None:
             raise ValueError("need either a space mask or an explicit shape")
@@ -194,7 +207,5 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     if freq is None:
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
-    blocks = (np.stack([s.normal(shape) for s in sources])[None]
-              for _ in range(cfg.total_steps + 1))
-    return _anneal(model.score_batch, cfg, blocks,
+    return _anneal(model.score_batch, cfg, _batch_noise(sources, shape, cfg.total_steps + 1),
                    lambda z: apply_tdas(z, space, freq, cfg.transform))

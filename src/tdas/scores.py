@@ -53,7 +53,9 @@ class GaussianScore(ScoreModel):
     s0: float
 
     def score(self, x, sigma=0.0):
-        return -(x - self.mu) / (self.s0**2 + sigma**2)
+        # fl(mu - x) = -fl(x - mu), so this is -(x - mu) / var without the
+        # negation's pass (only an exact zero keeps the other sign).
+        return (self.mu - x) / (self.s0**2 + sigma**2)
 
     def log_density(self, x, sigma=0.0):
         var = self.s0**2 + sigma**2

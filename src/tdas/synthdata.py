@@ -56,8 +56,8 @@ def _oval_template(shape):
 
 
 def generate(spec: SynthSpec) -> ImageDataset:
-    """spec.count images, drawn in order from one NoiseSource(spec.seed) into
-    one preallocated array."""
+    """spec.count images, drawn in order from one NoiseSource(spec.seed)
+    straight into the rows of one preallocated array."""
     src = NoiseSource(spec.seed)
     c, height, width = spec.shape
     items = np.empty((spec.count,) + tuple(spec.shape))
@@ -66,12 +66,14 @@ def generate(spec: SynthSpec) -> ImageDataset:
     if spec.kind == FACE_LIKE:
         template = _oval_template(spec.shape)
     for item in items:
+        src.normal(out=item)
         if spec.kind == UNSTRUCTURED:
-            item[...] = src.normal(spec.shape)
-        elif spec.kind == LOW_FREQ_BLOBS:
-            item[...] = idct2(mag * src.normal(spec.shape))
+            continue
+        item *= mag
+        if spec.kind == LOW_FREQ_BLOBS:
+            item[...] = idct2(item)
         else:  # FACE_LIKE
-            item[...] = template + 0.1 * idct2(mag * src.normal(spec.shape))
+            item[...] = template + 0.1 * idct2(item)
     return ImageDataset(items)
 
 

@@ -5,6 +5,19 @@ Fast paths delegate to scipy.fft / numpy.fft, which handle arbitrary
 functions implement the O(d^2) definitions directly and exist as independent
 oracles; tests compare the two routes.
 
+Which library runs which transform:
+
+- scipy.fft: the DCTs, and rdft2, the half spectrum of a real image. scipy's
+  rfft2 runs its real-to-complex and complex passes in one call into one
+  output array, where numpy's runs them as two calls with an array each, and
+  its result equals numpy's bit for bit.
+- numpy.fft: the inverse of the half spectrum (irfft2, in
+  filters.apply_tdas), dft2 and idft2_real. scipy's irfft2 scales by 1/(HW)
+  once where numpy scales by 1/H and then by 1/W, so the two differ in the
+  last bits whenever H is not a power of two, and scipy's fft2 and ifft2
+  differ from numpy's on many small shapes. Keeping these on numpy keeps
+  every recorded value in place.
+
 The 1D DCT is the orthonormal type-II variant: the 1/sqrt(2) weight sits on
 the k = 0 output coefficient, so the transform matrix is orthogonal and the
 2D transform preserves the L2 norm.
@@ -58,6 +71,13 @@ def dft2(t: np.ndarray) -> np.ndarray:
 def idft2_real(s: np.ndarray) -> np.ndarray:
     """Real part of the inverse 2D DFT."""
     return np.fft.ifft2(np.asarray(s), axes=(-2, -1)).real
+
+
+def rdft2(t: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real t: columns 0..W//2 of its 2D DFT over the last
+    two axes, bit for bit numpy's rfft2. The other columns follow by
+    conjugate symmetry."""
+    return scipy.fft.rfft2(np.asarray(t, dtype=np.float64), axes=(-2, -1))
 
 
 def dft2_naive(t: np.ndarray) -> np.ndarray:

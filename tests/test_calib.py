@@ -28,18 +28,16 @@ from tdas.transforms import dct2, dft2_naive
 
 
 def mirrored_rfft2_power(items):
-    """Stacked mean of the rfft2 power, with each cell outside the half
+    """Stacked mean of numpy's rfft2 power, with each cell outside the half
     spectrum filled from its mirror image (-h mod H, -w mod W): of the two,
     the one that comes first in (w, h) order is the one kept."""
     spectrum = np.fft.rfft2(items, axes=(-2, -1))
     half = (spectrum.real ** 2 + spectrum.imag ** 2).mean(axis=(0, 1))
     height, width = items.shape[-2:]
-    full = np.empty((height, width))
-    for h in range(height):
-        for w in range(width):
-            kept_w, kept_h = min((w, h), (-w % width, -h % height))
-            full[h, w] = half[kept_h, kept_w]
-    return full
+    h, w = np.indices((height, width))
+    mirror_h, mirror_w = -h % height, -w % width
+    mirrored = (mirror_w < w) | ((mirror_w == w) & (mirror_h < h))
+    return half[np.where(mirrored, mirror_h, h), np.where(mirrored, mirror_w, w)]
 
 
 def brute_quantile(values, alpha):
@@ -97,6 +95,11 @@ class TestStatsAndRatio:
         x = ImageDataset(np.random.default_rng(4).standard_normal(shape))
         assert np.array_equal(freq_power_stats(x, DCT).power,
                               (dct2(x.items) ** 2).mean(axis=(0, 1)))
+        assert np.array_equal(freq_power_stats(x, DFT).power, mirrored_rfft2_power(x.items))
+
+    def test_dft_power_at_1024_is_the_numpy_route(self):
+        # The paper's resolution, one image per transform block.
+        x = ImageDataset(np.random.default_rng(8).standard_normal((2, 1, 1024, 1024)))
         assert np.array_equal(freq_power_stats(x, DFT).power, mirrored_rfft2_power(x.items))
 
     @pytest.mark.parametrize("shape", [(3, 1, 9, 7), (3, 2, 16, 16), (2, 1, 10, 7), (2, 1, 9, 8),

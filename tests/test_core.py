@@ -78,6 +78,41 @@ class TestNoiseSource:
         expected = np.random.Generator(np.random.PCG64(4)).standard_normal(shape)
         assert np.array_equal(NoiseSource(4).normal(shape), expected)
 
+    @pytest.mark.parametrize("shape", [(7,), (1, 4, 4), (2, 3, 5)])
+    def test_draw_into_out_is_the_sized_draw(self, shape):
+        src, ref = NoiseSource(11), NoiseSource(11)
+        out = np.full(shape, np.nan)
+        assert src.normal(out=out) is out
+        assert np.array_equal(out, ref.normal(shape))
+        assert src.normal(shape, out=np.empty(shape)).shape == shape
+        ref.normal(shape)
+        # The stream is left where the sized draws leave it.
+        assert np.array_equal(src.normal((9,)), ref.normal((9,)))
+
+    def test_draw_into_a_row_of_a_block(self):
+        block = np.empty((3, 1, 4, 4))
+        src, ref = NoiseSource(5), NoiseSource(5)
+        for row in block:
+            src.normal(out=row)
+        assert np.array_equal(block, np.stack([ref.normal((1, 4, 4)) for _ in range(3)]))
+
+    @pytest.mark.parametrize("shape, out", [
+        ((4, 4), np.empty((4, 5))),
+        (None, np.empty((4, 4), dtype=np.float32)),
+        (None, np.empty((4, 8))[:, ::2]),
+        (None, np.empty((4, 4), order="F")),
+        (None, np.empty((0, 4))),
+    ], ids=["shape", "float32", "strided", "fortran", "empty"])
+    def test_rejected_out_consumes_nothing(self, shape, out):
+        src = NoiseSource(3)
+        with pytest.raises((TypeError, ValueError)):
+            src.normal(shape, out=out)
+        assert np.array_equal(src.normal((5,)), NoiseSource(3).normal((5,)))
+
+    def test_needs_a_shape_or_out(self):
+        with pytest.raises(TypeError):
+            NoiseSource(0).normal()
+
 
 @pytest.mark.parametrize("shape", [(4, 4), (1, 0, 4)])
 def test_normal_blocks_requires_chw(shape):

@@ -229,6 +229,11 @@ class TestSampleBatch:
             single = langevin_sample(model, cfg, NoiseSource.for_worker(42, i), space, freq)
             assert np.array_equal(batch[i], single)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_chain(self, n):
+        with pytest.raises(ValueError):
+            sample_batch(GaussianScore(np.zeros((1, 4, 4)), 1.0), make_cfg(), 0, n, shape=(1, 4, 4))
+
     def test_needs_shape_or_mask(self):
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
         with pytest.raises(ValueError):

@@ -36,6 +36,12 @@ class TestGaussianScore:
         x = np.ones((1, 2, 2))
         assert np.allclose(m.score(x, sigma=1.0), -(x - mu) / 5.0)
 
+    def test_score_is_the_negated_difference_bit_for_bit(self, rng):
+        m = GaussianScore(rng.standard_normal((1, 6, 6)), s0=0.7)
+        x = rng.standard_normal((4, 1, 6, 6)) * 3.0
+        for sigma in (0.0, 0.3, 11.0):
+            assert np.array_equal(m.score(x, sigma), -(x - m.mu) / (m.s0**2 + sigma**2))
+
     def test_score_is_log_density_gradient(self, rng):
         m = GaussianScore(rng.standard_normal((1, 2, 2)), s0=1.5)
         x = rng.standard_normal((1, 2, 2))

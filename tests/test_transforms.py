@@ -15,6 +15,7 @@ from tdas.transforms import (
     idct1,
     idct2,
     idft2_real,
+    rdft2,
 )
 
 
@@ -47,6 +48,18 @@ def test_dct2_roundtrip_and_norm(shape, rng):
 def test_dft2_matches_naive(shape, rng):
     t = rng.standard_normal(shape)
     assert np.allclose(dft2(t), dft2_naive(t), atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4, 4), (1, 5, 7), (2, 9, 3), (2, 3, 13, 17),
+                                   (1, 12, 1), (1, 100, 64), (1, 256, 255)])
+def test_rdft2_is_numpys_half_spectrum(shape, rng):
+    # scipy's rfft2 equals numpy's bit for bit, odd and prime sides included,
+    # and is the half of the full DFT.
+    t = rng.standard_normal(shape)
+    half = rdft2(t)
+    assert np.array_equal(half, np.fft.rfft2(t, axes=(-2, -1)))
+    assert np.array_equal(rdft2(t.swapaxes(-2, -1)), np.fft.rfft2(t.swapaxes(-2, -1), axes=(-2, -1)))
+    assert np.allclose(half, dft2(t)[..., : t.shape[-1] // 2 + 1], atol=1e-9)
 
 
 def test_dft2_roundtrip(rng):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImageDataset
+from .core import ImageDataset, block_slices
 from .filters import DCT, DFT, FreqFilterParams, radial_distance_grid
 from .transforms import dct2, rdft2
 
@@ -25,13 +25,6 @@ SGM = "sgm"
 DDPM = "ddpm"
 
 RATIO_FLOOR = 1e-12
-
-# freq_power_stats transforms at most this many bytes of images at once (one
-# image if a single one is larger). Under tracemalloc a block's DFT peaks at
-# about 1.5 times its size (the complex H x (W//2+1) half spectrum, about the
-# block's size, and its power, half that) and its DCT at its size (squared in
-# place), with the running sum on top: 17 MiB for 16 images at 1024^2.
-_STATS_BLOCK_BYTES = 4 << 20
 
 
 class CalibrationError(Exception):
@@ -76,22 +69,22 @@ class RatioGrid:
 def freq_power_stats(samples: ImageDataset, transform: str = DCT) -> FreqStats:
     """power(h, w) = mean over samples and channels of the squared spectrum.
 
-    The images are transformed a block at a time and each squared (image,
-    channel) plane is added in order into one sum: the sum a mean over all
-    the stacked spectra takes, bit for bit, without holding them. The DFT of
-    a real image is conjugate-symmetric, so its power is summed over the half
-    spectrum (rdft2, columns 0..W//2) and the grid is completed once at the
-    end, exactly symmetric: power(h, w) = power(-h mod H, -w mod W).
+    The images are transformed a block of at most core.BLOCK_BYTES at a time
+    and each squared (image, channel) plane is added in order into one sum:
+    the sum a mean over all the stacked spectra takes, bit for bit, whatever
+    the block size, without holding them. The DFT of a real image is
+    conjugate-symmetric, so its power is summed over the half spectrum
+    (rdft2, columns 0..W//2) and the grid is completed once at the end,
+    exactly symmetric: power(h, w) = power(-h mod H, -w mod W).
     """
     if transform not in (DCT, DFT):
         raise ValueError(f"unknown transform {transform!r}")
     items = samples.items
     count, channels, height, width = items.shape
     columns = width // 2 + 1 if transform == DFT else width
-    per_block = max(1, _STATS_BLOCK_BYTES // items[0].nbytes)
     total = np.zeros((height, columns))
-    for start in range(0, count, per_block):
-        _add_power(total, items[start:start + per_block], transform)
+    for rows in block_slices(count, items[0].nbytes):
+        _add_power(total, items[rows], transform)
     if transform == DFT:
         total = _mirror_columns(total, width)
     return FreqStats(total / (count * channels), transform, len(samples))

@@ -282,8 +282,10 @@ def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
         _fail("choose one of --theorem1, --theorem2, --metrics")
     shape = tuple(shape)
     if mode == "theorem1":
+        if steps < 1 or steps % 5 != 0:
+            raise ValueError("--steps must be a positive multiple of the ladder's 5 levels")
         model = GaussianScore(np.zeros(shape), 1.0)
-        cfg = SamplerConfig(levels=geometric_levels(1.0, 0.1, 5, max(1, steps // 5)), eps0=0.01)
+        cfg = SamplerConfig(levels=geometric_levels(1.0, 0.1, 5, steps // 5), eps0=0.01)
         fmap = None if map_kind == "dct" else PermutationMap(shape, _derive_seed(seed, "perm"))
         deviation = check_theorem1(model, cfg, seed, steps, shape, fmap=fmap)
         report = {"harness": "trajectory-equivalence", "max_deviation": deviation,

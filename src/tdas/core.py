@@ -25,11 +25,9 @@ class DegenerateDatasetError(Exception):
     """Raised when a dataset cannot support the requested statistic."""
 
 
-def as_tensor(data, shape=None) -> np.ndarray:
+def as_tensor(data) -> np.ndarray:
     """Coerce to a float64 (C, H, W) array and validate finiteness."""
     t = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        t = t.reshape(shape)
     if t.ndim != 3:
         raise ValueError(f"tensor must be 3-dimensional (C, H, W), got shape {t.shape}")
     if not np.all(np.isfinite(t)):
@@ -112,9 +110,17 @@ class NoiseSource:
         return int(self._gen.integers(low, high))
 
 
-# Noise is drawn, and Monte-Carlo terms reduced, in blocks of at most this many
-# bytes (one item per block if a single item is larger).
+# Every block-wise pass (noise draws, spectral statistics, Monte-Carlo terms)
+# holds at most this many bytes of items at once; see block_slices.
 BLOCK_BYTES = 1 << 19
+
+
+def block_slices(count: int, item_bytes: int):
+    """Yield the slices of range(count), in order, each holding at most
+    BLOCK_BYTES of items of item_bytes each (one item if a single one is larger)."""
+    per_block = max(1, BLOCK_BYTES // max(1, item_bytes))
+    for start in range(0, count, per_block):
+        yield slice(start, min(start + per_block, count))
 
 
 def normal_blocks(source: NoiseSource, shape, count: int):
@@ -128,10 +134,9 @@ def normal_blocks(source: NoiseSource, shape, count: int):
     shape = tuple(shape)
     if len(shape) != 3:
         raise ValueError(f"expected a (C, H, W) shape, got {shape}")
-    step_bytes = 8 * math.prod(shape)  # 0 for an empty shape, which source.normal rejects
-    per_block = max(1, BLOCK_BYTES // max(1, step_bytes))
-    for start in range(0, count, per_block):
-        yield source.normal((min(per_block, count - start),) + shape)
+    # An empty shape has 0-byte items, which source.normal rejects.
+    for rows in block_slices(count, 8 * math.prod(shape)):
+        yield source.normal((rows.stop - rows.start,) + shape)
 
 
 def save_tensor(t: np.ndarray, path) -> None:
@@ -167,6 +172,8 @@ def export_image(t: np.ndarray, path, clamp=(0.0, 1.0)) -> None:
     """
     t = as_tensor(t)
     lo, hi = clamp
+    if not hi > lo:
+        raise ValueError(f"clamp needs hi > lo, got {tuple(clamp)}")
     c, h, w = t.shape
     if c not in (1, 3):
         raise ValueError(f"export supports 1 or 3 channels, got {c}")

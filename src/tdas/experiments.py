@@ -1,22 +1,23 @@
 """End-to-end desk-scale experiments: the acceleration study, the calibration
 trend across acceleration rates, and the unstructured negative control.
 
-All randomness is seeded, so every run of these functions is reproducible;
-scripts/run_baselines.py freezes the resulting margins as regression
-thresholds for the acceptance suite.
+The experiments take no arguments: datasets, sample count, step counts and
+seeds are the module constants below, so every run is the same run, and
+scripts/run_baselines.py freezes its margins as acceptance thresholds.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .calib import SGM, CalibrationError, calc_freq_params, calc_lambda_pair, freq_power_stats, ratio_grid
-from .core import ImageDataset
-from .filters import DCT, DFT, build_freq_mask
+from .core import ImageDataset, NoiseSource
+from .filters import DCT, DFT, FreqFilterParams, apply_tdas, build_freq_mask, identity_space_mask
 from .sampler import SamplerConfig, sample_batch
 from .scores import EmpiricalScore, geometric_levels
 from .synthdata import LOW_FREQ_BLOBS, UNSTRUCTURED, SynthSpec, generate
@@ -30,6 +31,7 @@ DATASET_SIZE = 500
 N_SAMPLES = 400
 REF_STEPS = 2000
 FAST_STEPS = 200
+TREND_STEPS = (400, 200, 100, 50)
 LEVELS = 10
 SIGMA_MAX = 2.0
 SIGMA_MIN = 0.05
@@ -50,20 +52,19 @@ def pipeline_config(total_steps: int) -> SamplerConfig:
     return SamplerConfig(levels=levels, eps0=EPS0, accel_factor=REF_STEPS / total_steps)
 
 
-def generate_samples(model, total_steps: int, n_samples: int, master_seed: int,
-                     freq=None) -> ImageDataset:
+def generate_samples(model, total_steps: int, master_seed: int, freq=None) -> ImageDataset:
     cfg = pipeline_config(total_steps)
-    x = sample_batch(model, cfg, master_seed, n_samples, freq=freq, shape=SHAPE)
+    x = sample_batch(model, cfg, master_seed, N_SAMPLES, freq=freq, shape=SHAPE)
     return ImageDataset(x)
 
 
 @lru_cache(maxsize=2)
-def _reference(spec: SynthSpec, n_samples: int):
+def _reference(spec: SynthSpec):
     """Exact score of spec's dataset and its T=REF_STEPS reference run (master seed
     1000), built once per process: the acceleration experiment and the calibration
     trend share the structured one. Callers must not modify what it returns."""
     model = EmpiricalScore(generate(spec))
-    return model, generate_samples(model, REF_STEPS, n_samples, master_seed=1000)
+    return model, generate_samples(model, REF_STEPS, master_seed=1000)
 
 
 def calibrate_from_sets(generated: ImageDataset, reference: ImageDataset,
@@ -72,16 +73,15 @@ def calibrate_from_sets(generated: ImageDataset, reference: ImageDataset,
     return calc_freq_params(g, direction)
 
 
-def run_acceleration_experiment(spec: SynthSpec = STRUCTURED_SPEC,
-                                n_samples: int = N_SAMPLES) -> dict:
-    """Reference at T=2000, vanilla and filtered runs at T=200 (10x), filter
-    parameters calibrated from the degraded vanilla run. Returns all metrics."""
-    model, reference = _reference(spec, n_samples)
-    vanilla = generate_samples(model, FAST_STEPS, n_samples, master_seed=2000)
+def run_acceleration_experiment() -> dict:
+    """Reference at T=2000, vanilla and filtered runs at T=200 (10x) on the
+    structured set, filters calibrated from the vanilla run. Returns all metrics."""
+    model, reference = _reference(STRUCTURED_SPEC)
+    vanilla = generate_samples(model, FAST_STEPS, master_seed=2000)
     params = calibrate_from_sets(vanilla, reference, DCT, SGM)
-    freq = build_freq_mask(params, spec.shape)
+    freq = build_freq_mask(params, SHAPE)
     # Same master seed as the vanilla run: a paired comparison on shared noise.
-    filtered = generate_samples(model, FAST_STEPS, n_samples, master_seed=2000, freq=freq)
+    filtered = generate_samples(model, FAST_STEPS, master_seed=2000, freq=freq)
     result = {
         "params": {"lambda1": params.lambda1, "lambda2": params.lambda2,
                    "r1": params.r1, "r2": params.r2},
@@ -99,7 +99,7 @@ def run_acceleration_experiment(spec: SynthSpec = STRUCTURED_SPEC,
     return result
 
 
-def run_negative_control(n_samples: int = N_SAMPLES) -> dict:
+def run_negative_control() -> dict:
     """Same pipeline on the unstructured dataset; reports the absolute change in
     sliced Wasserstein that filtering causes when the spectral prior is absent.
 
@@ -107,16 +107,16 @@ def run_negative_control(n_samples: int = N_SAMPLES) -> dict:
     finds no quantile crossing; calibration then declines to suppress anything
     and the run proceeds with the identity filter.
     """
-    model, reference = _reference(UNSTRUCTURED_SPEC, n_samples)
-    vanilla = generate_samples(model, FAST_STEPS, n_samples, master_seed=2000)
+    model, reference = _reference(UNSTRUCTURED_SPEC)
+    vanilla = generate_samples(model, FAST_STEPS, master_seed=2000)
     try:
         params = calibrate_from_sets(vanilla, reference, DCT, SGM)
-        freq = build_freq_mask(params, UNSTRUCTURED_SPEC.shape)
+        freq = build_freq_mask(params, SHAPE)
         calibration_failed = False
     except CalibrationError:
         freq = None
         calibration_failed = True
-    filtered = generate_samples(model, FAST_STEPS, n_samples, master_seed=2000, freq=freq)
+    filtered = generate_samples(model, FAST_STEPS, master_seed=2000, freq=freq)
     sw_van = sliced_wasserstein(vanilla, reference, 64, seed=7)
     sw_tdas = sliced_wasserstein(filtered, reference, 64, seed=7)
     return {
@@ -127,23 +127,22 @@ def run_negative_control(n_samples: int = N_SAMPLES) -> dict:
     }
 
 
-def run_calibration_trend(iteration_counts=(400, 200, 100, 50),
-                          n_samples: int = N_SAMPLES, transform: str = DFT) -> list[dict]:
-    """Calibrated (lambda1, lambda2) per generating iteration count, against a
-    shared large-T reference. Fewer iterations mean more high-frequency excess,
-    so both lambdas should fall as the counts shrink.
+def run_calibration_trend() -> list[dict]:
+    """DFT-calibrated (lambda1, lambda2) per iteration count in TREND_STEPS,
+    against the shared structured large-T reference. Fewer iterations mean
+    more high-frequency excess, so both lambdas should fall as they shrink.
 
     The 50-iteration row comes from chains that ran away: every chain ends
     with max |x| above 1e13, because the top level's step exceeds the Langevin
     stability limit (|1 - eps/(2 sigma^2)| ~ 1.8 at sigma = 2). The sampler
     raises DivergenceError only on non-finite states, so the row is computed
     from them all the same."""
-    model, reference = _reference(STRUCTURED_SPEC, n_samples)
-    ref_stats = freq_power_stats(reference, transform)
+    model, reference = _reference(STRUCTURED_SPEC)
+    ref_stats = freq_power_stats(reference, DFT)
     rows = []
-    for steps in iteration_counts:
-        gen = generate_samples(model, steps, n_samples, master_seed=3000 + steps)
-        g = ratio_grid(freq_power_stats(gen, transform), ref_stats)
+    for steps in TREND_STEPS:
+        gen = generate_samples(model, steps, master_seed=3000 + steps)
+        g = ratio_grid(freq_power_stats(gen, DFT), ref_stats)
         # The lambda rule stands on the quantiles alone; the mildest runs may
         # legitimately have no radius crossing, which the trend does not need.
         lam1, lam2 = calc_lambda_pair(g, SGM)
@@ -157,30 +156,25 @@ def run_calibration_trend(iteration_counts=(400, 200, 100, 50),
     return rows
 
 
-def filter_overhead_bench(sizes=(256, 512, 1024), repeats: int = 10, channels: int = 3,
-                          transform: str = DFT) -> list[dict]:
-    """Median wall time of one filtered-noise application per grid size."""
-    import time
-
-    from .core import NoiseSource
-    from .filters import FreqFilterParams, apply_tdas, build_freq_mask, identity_space_mask
-
+def filter_overhead_bench(sizes=(256, 512, 1024), repeats: int = 10) -> list[dict]:
+    """Median wall time of one DFT-filtered noise application to a 3-channel
+    grid, per grid size."""
     src = NoiseSource(0)
     cases = []
     for n in sizes:
-        shape = (channels, n, n)
-        params = FreqFilterParams(0.9, 0.8, 0.3, 0.45, transform=transform)
+        shape = (3, n, n)
+        params = FreqFilterParams(0.9, 0.8, 0.3, 0.45, transform=DFT)
         freq = build_freq_mask(params, shape)
         space = identity_space_mask(shape)
         z = src.normal(shape)
-        apply_tdas(z, space, freq, transform)  # warm the FFT plan cache
+        apply_tdas(z, space, freq, DFT)  # warm the FFT plan cache
         cases.append((n, z, space, freq, []))
     # Interleave the sizes within each round so machine-load drift during the
     # run affects every size alike and cancels in timing ratios.
     for _ in range(repeats):
         for n, z, space, freq, times in cases:
             t0 = time.perf_counter()
-            apply_tdas(z, space, freq, transform)
+            apply_tdas(z, space, freq, DFT)
             times.append(time.perf_counter() - t0)
     return [
         {"size": n, "median_seconds": float(np.median(times))}

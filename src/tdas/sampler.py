@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseSource, normal_blocks
-from .filters import DCT, SpaceFilter, apply_tdas, identity_space_mask
+from .filters import DCT, DFT, SpaceFilter, apply_tdas, identity_space_mask
 from .scores import NoiseLevels
 from .transforms import Dct2Map, OrthogonalMap
 
@@ -55,8 +55,10 @@ class SamplerConfig:
     denoise_final: bool = False
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.accel_factor <= 0:
-            raise ValueError("eps0 and accel_factor must be positive")
+        if not (0 < self.eps0 < np.inf and 0 < self.accel_factor < np.inf):
+            raise ValueError("eps0 and accel_factor must be positive and finite")
+        if self.transform not in (DCT, DFT):
+            raise ValueError(f"unknown transform {self.transform!r}")
 
     @property
     def total_steps(self) -> int:

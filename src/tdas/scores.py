@@ -135,8 +135,8 @@ class NoiseLevels:
     def __post_init__(self):
         sig = tuple(float(s) for s in self.sigmas)
         object.__setattr__(self, "sigmas", sig)
-        if len(sig) < 1 or any(s <= 0 for s in sig):
-            raise ValueError("need at least one positive sigma")
+        if len(sig) < 1 or not all(0 < s < np.inf for s in sig):
+            raise ValueError("need at least one sigma, each positive and finite")
         if any(nxt >= prev for prev, nxt in zip(sig, sig[1:])):
             raise ValueError("sigmas must be strictly decreasing")
         if self.steps_per_level < 1:

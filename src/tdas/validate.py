@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calib import freq_power_stats, ratio_grid
-from .core import BLOCK_BYTES, ImageDataset, NoiseSource
+from .core import ImageDataset, NoiseSource, block_slices
 from .filters import DCT
 from .sampler import SamplerConfig, freq_domain_sample, vanilla_sample
 from .transforms import Dct2Map, OrthogonalMap
@@ -58,8 +58,9 @@ class DeviationReport:
     def rhs(self) -> float:
         return self.c1_term + self.variance_term - self.correlation_term
 
-    def consistent(self, n_se: float = 4.0) -> bool:
-        return abs(self.lhs - self.rhs) <= n_se * self.standard_error
+    def consistent(self) -> bool:
+        """lhs and rhs agree within four standard errors."""
+        return abs(self.lhs - self.rhs) <= 4.0 * self.standard_error
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -73,16 +74,17 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     """Estimate both sides of the deviation decomposition from shared draws.
 
     x_t is held fixed, so the filtration condition reduces to E[z] = 0 while z
-    may correlate with the target draw x*. Targets come from the stream
-    NoiseSource(seed), one model.sample_targets call per block of at most
-    BLOCK_BYTES (one draw if a single one is larger; the block's temporaries
-    peak at a few times that). noise_gen(x_star, src) makes each draw's noise
-    from a stream of its own, NoiseSource.for_worker(seed, 0), so the targets
-    do not depend on noise_gen: regimes run at one seed are paired on the same
-    target draws. noise_gen gets read-only target rows and must return a
-    tensor of their shape (ValueError otherwise). The four terms are reduced
-    a block at a time; each row's sum is the float64 pairwise sum np.sum
-    makes on that draw alone, so the result does not depend on the block size.
+    may correlate with the target draw x*. The draws are taken, and the four
+    terms reduced, a block of at most core.BLOCK_BYTES of targets at a time
+    (one draw if a single one is larger; the block's temporaries peak at a
+    few times that). Targets come from the stream NoiseSource(seed), one
+    model.sample_targets call per block. noise_gen(x_star, src) makes each
+    draw's noise from a stream of its own, NoiseSource.for_worker(seed, 0),
+    so the targets do not depend on noise_gen: regimes run at one seed are
+    paired on the same target draws. noise_gen gets read-only target rows
+    and must return a tensor of their shape (ValueError otherwise). Each
+    row's sum is the float64 pairwise sum np.sum makes on that draw alone,
+    so the result does not depend on the block size.
     """
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
@@ -96,12 +98,9 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     var_vals = np.empty(n_mc)
     corr_vals = np.empty(n_mc)
     root_eps = math.sqrt(eps)
-    per_block = max(1, min(n_mc, BLOCK_BYTES // drift.nbytes))
     axes = tuple(range(1, drift.ndim + 1))
-    for start in range(0, n_mc, per_block):
-        n = min(per_block, n_mc - start)
-        rows = slice(start, start + n)
-        xs = model.sample_targets(target_src, n)
+    for rows in block_slices(n_mc, drift.nbytes):
+        xs = model.sample_targets(target_src, rows.stop - rows.start)
         xs.flags.writeable = False
         z = np.stack([noise_gen(x_star, noise_src) for x_star in xs])
         if z.shape != xs.shape:

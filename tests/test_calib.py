@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdas import calib
+from tdas import calib, core
 from tdas.calib import (
     DDPM,
     SGM,
@@ -121,7 +121,7 @@ class TestStatsAndRatio:
     def test_block_sets_span_several_blocks(self):
         # The two largest sets above are transformed a block at a time.
         for count, channels in ((20, 3), (70, 1)):
-            assert count * channels * 128 * 128 * 8 > calib._STATS_BLOCK_BYTES
+            assert count * channels * 128 * 128 * 8 > core.BLOCK_BYTES
 
     def test_dft_power_holds_less_than_the_image_set(self):
         # The spectra of all 16 images at once would take four times the set.

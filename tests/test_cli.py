@@ -4,8 +4,10 @@ import numpy as np
 from click.testing import CliRunner
 
 from tdas.cli import main
-from tdas.core import load_dataset, load_tensor
-from tdas.filters import DCT, DFT, FreqFilterParams, build_freq_mask
+import pytest
+
+from tdas.core import load_dataset, load_tensor, save_tensor
+from tdas.filters import DCT, DFT, FreqFilterParams, SpaceFilter, build_freq_mask
 from tdas.sampler import SamplerConfig, sample_batch
 from tdas.scores import EmpiricalScore, geometric_levels
 
@@ -105,6 +107,29 @@ class TestSample:
         assert np.array_equal(out, expected[DFT])
         assert not np.array_equal(out, expected[DCT])
 
+    @pytest.mark.parametrize("keys", [("space_mask",), ("freq_mask",), ("space_mask", "freq_mask")])
+    def test_raw_masks_filter_in_the_dct_basis(self, tmp_path, keys):
+        # A raw freq_mask carries no transform, so the sampler uses the DCT.
+        ds = make_data(tmp_path)
+        rng = np.random.default_rng(5)
+        masks = {"space_mask": rng.uniform(1 / 3, 1.0, (1, 8, 8)),
+                 "freq_mask": rng.uniform(0.2, 1.0, (1, 8, 8))}
+        paths = {}
+        for key in keys:
+            paths[key] = str(tmp_path / f"{key}.tdt")
+            save_tensor(masks[key], paths[key])
+        cfg = write_run_config(tmp_path, ds, **paths)
+        res = invoke("sample", str(cfg))
+        assert res.exit_code == 0, res.output
+        out = load_dataset(tmp_path / "run" / "tensors").items
+        model = EmpiricalScore(load_dataset(ds))
+        space = SpaceFilter(masks["space_mask"]) if "space_mask" in keys else None
+        freq = masks["freq_mask"] if "freq_mask" in keys else None
+        dct_cfg = SamplerConfig(levels=geometric_levels(1.0, 0.1, 5, 2), eps0=0.001, transform=DCT)
+        assert np.array_equal(out, sample_batch(model, dct_cfg, 21, 3, space=space, freq=freq,
+                                                shape=(1, 8, 8)))
+        assert not np.array_equal(out, sample_batch(model, dct_cfg, 21, 3, shape=(1, 8, 8)))
+
     def test_bad_iterations_exit_one(self, tmp_path):
         ds = make_data(tmp_path)
         cfg = write_run_config(tmp_path, ds)
@@ -159,6 +184,15 @@ class TestValidate:
         assert res.exit_code == 0, res.output
         report = json.loads(res.output)
         assert report["passed"] and report["max_deviation"] <= 1e-6
+
+    @pytest.mark.parametrize("steps", ["0", "-4", "7"])
+    def test_theorem1_steps_must_fill_the_ladder(self, steps):
+        # The ladder has 5 levels; 0 or -4 steps checked only the initial
+        # state, and 7 silently checked 5.
+        res = invoke("validate", "--theorem1", "--steps", steps, "--shape", "1", "4", "4")
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--steps" in lines[0]
 
     def test_theorem2_report_file(self, tmp_path):
         path = tmp_path / "r.json"

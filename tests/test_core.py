@@ -12,6 +12,7 @@ from tdas.core import (
     NoiseSource,
     TensorFormatError,
     as_tensor,
+    block_slices,
     export_image,
     load_dataset,
     load_tensor,
@@ -114,6 +115,25 @@ class TestNoiseSource:
             NoiseSource(0).normal()
 
 
+@given(count=st.integers(0, 3000), item_bytes=st.integers(0, 3 * BLOCK_BYTES))
+@settings(max_examples=200, deadline=None)
+def test_block_slices_cover_the_range_in_bounded_blocks(count, item_bytes):
+    slices = list(block_slices(count, item_bytes))
+    assert [i for s in slices for i in range(count)[s]] == list(range(count))
+    assert all(s.step is None and s.stop > s.start for s in slices)
+    for s in slices:
+        n = s.stop - s.start
+        assert n * item_bytes <= BLOCK_BYTES or n == 1
+    # Every block but the last is full: no smaller blocks than the bound needs.
+    per_block = max(1, BLOCK_BYTES // max(1, item_bytes))
+    assert all(s.stop - s.start == per_block for s in slices[:-1])
+
+
+@pytest.mark.parametrize("item_bytes", [0, 8, BLOCK_BYTES, BLOCK_BYTES + 1])
+def test_block_slices_of_nothing_is_empty(item_bytes):
+    assert list(block_slices(0, item_bytes)) == []
+
+
 @pytest.mark.parametrize("shape", [(4, 4), (1, 0, 4)])
 def test_normal_blocks_requires_chw(shape):
     with pytest.raises(ValueError):
@@ -199,6 +219,12 @@ class TestExportImage:
     def test_rejects_two_channels(self, tmp_path):
         with pytest.raises(ValueError):
             export_image(np.zeros((2, 2, 2)), tmp_path / "a.pgm")
+
+    @pytest.mark.parametrize("clamp", [(0.5, 0.5), (1.0, 0.0), (0.0, np.nan)])
+    def test_rejects_an_empty_clamp_range(self, tmp_path, clamp):
+        with pytest.raises(ValueError, match="clamp"):
+            export_image(np.zeros((1, 2, 2)), tmp_path / "a.pgm", clamp=clamp)
+        assert not (tmp_path / "a.pgm").exists()
 
 
 class TestDataset:

@@ -51,6 +51,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             make_cfg(accel_factor=-1.0)
 
+    @pytest.mark.parametrize("field", ["eps0", "accel_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_step_sizes(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_cfg(**{field: value})
+
+    def test_rejects_unknown_transform(self):
+        # Caught at construction, not at a filtered run's first step.
+        with pytest.raises(ValueError, match="transform"):
+            make_cfg(transform="dtc")
+
 
 class TestLoops:
     def test_identity_filter_bit_identical_to_vanilla(self):

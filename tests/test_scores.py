@@ -200,6 +200,12 @@ class TestNoiseLevels:
         with pytest.raises(ValueError):
             NoiseLevels((1.0, 0.0), 1)
 
+    @pytest.mark.parametrize("sigmas", [(np.nan,), (1.0, np.nan), (np.inf, 1.0), (np.nan, 1.0, 0.5)])
+    def test_requires_finite(self, sigmas):
+        # A NaN fails no comparison, so the ordering check alone let it through.
+        with pytest.raises(ValueError, match="finite"):
+            NoiseLevels(sigmas, 1)
+
     def test_totals(self):
         lv = NoiseLevels((2.0, 1.0, 0.5), 4)
         assert lv.levels == 3 and lv.total_steps == 12 and lv.sigma_min == 0.5

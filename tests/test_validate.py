@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tdas import validate
+from tdas import core, validate
 from tdas.core import ImageDataset, NoiseSource
 from tdas.sampler import SamplerConfig
 from tdas.scores import EmpiricalScore, GaussianScore, geometric_levels
@@ -116,7 +116,7 @@ class TestDeviationBlocks:
     def test_equals_per_draw_loop(self, monkeypatch, shape, make_model, noise_gen):
         # 37 draws per block: 250 draws span seven blocks, the last one partial.
         draw_bytes = 8 * math.prod(shape)
-        monkeypatch.setattr(validate, "BLOCK_BYTES", 37 * draw_bytes + draw_bytes // 2)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 37 * draw_bytes + draw_bytes // 2)
         model = make_model(shape)
         x_t = np.random.Generator(np.random.PCG64(4)).standard_normal(shape)
         got = check_theorem2(model, x_t, noise_gen, 0.02, 250, seed=6)
@@ -132,14 +132,14 @@ class TestDeviationBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * validate.BLOCK_BYTES + 4 * 8 * n_mc
+        assert peak < 8 * core.BLOCK_BYTES + 4 * 8 * n_mc
 
 
 class TestTheorem2Draws:
     def test_regimes_share_their_targets(self, monkeypatch):
         shape, n_mc, seed = (2, 3, 5), 300, 9
         draw_bytes = 8 * math.prod(shape)
-        monkeypatch.setattr(validate, "BLOCK_BYTES", 41 * draw_bytes)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 41 * draw_bytes)
         model = _gaussian(shape)
         x_t = np.random.Generator(np.random.PCG64(4)).standard_normal(shape)
         reps = [check_theorem2(model, x_t, gen, 0.02, n_mc, seed=seed)

@@ -5,6 +5,7 @@ eta = D^-1[M_freq * D[M_space * z]].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -33,10 +34,11 @@ class FreqFilterParams:
     transform: str = DCT
 
     def __post_init__(self):
-        if not (0 < self.r1 <= self.r2):
-            raise ValueError(f"need 0 < r1 <= r2, got r1={self.r1}, r2={self.r2}")
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValueError("lambda1 and lambda2 must be positive")
+        # Every comparison with NaN is false, so NaN fails these as well.
+        if not 0 < self.r1 <= self.r2 < math.inf:
+            raise ValueError(f"need 0 < r1 <= r2 < inf, got r1={self.r1}, r2={self.r2}")
+        if not (0 < self.lambda1 < math.inf and 0 < self.lambda2 < math.inf):
+            raise ValueError("lambda1 and lambda2 must be positive and finite")
         if self.transform not in (DCT, DFT):
             raise ValueError(f"unknown transform {self.transform!r}")
 

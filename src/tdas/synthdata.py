@@ -4,11 +4,12 @@ face-like shared spatial layout, and an unstructured white-noise control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImageDataset, NoiseSource
+from .core import ImageDataset, NoiseSource, block_slices
 from .transforms import idct2
 
 LOW_FREQ_BLOBS = "low_freq_blobs"
@@ -33,8 +34,8 @@ class SynthSpec:
             raise ValueError("count must be >= 1")
         if len(self.shape) != 3:
             raise ValueError("shape must be (C, H, W)")
-        if self.spectral_decay <= 0:
-            raise ValueError("spectral_decay must be positive")
+        if not 0 < self.spectral_decay < math.inf:
+            raise ValueError("spectral_decay must be positive and finite")
 
 
 def _decay_magnitude(height, width, p):
@@ -56,24 +57,20 @@ def _oval_template(shape):
 
 
 def generate(spec: SynthSpec) -> ImageDataset:
-    """spec.count images, drawn in order from one NoiseSource(spec.seed)
-    straight into the rows of one preallocated array."""
-    src = NoiseSource(spec.seed)
-    c, height, width = spec.shape
-    items = np.empty((spec.count,) + tuple(spec.shape))
-    if spec.kind != UNSTRUCTURED:
-        mag = _decay_magnitude(height, width, spec.spectral_decay)
+    """spec.count images from one NoiseSource(spec.seed) draw of the whole
+    (count, C, H, W) stack: row i is, bit for bit, the i-th of count successive
+    image draws. Structured kinds scale the stack by the decay profile in
+    place and take its inverse DCT a core.block_slices block at a time."""
+    items = NoiseSource(spec.seed).normal((spec.count,) + tuple(spec.shape))
+    if spec.kind == UNSTRUCTURED:
+        return ImageDataset(items)
+    items *= _decay_magnitude(*spec.shape[1:], spec.spectral_decay)
+    for rows in block_slices(spec.count, items[0].nbytes):
+        items[rows] = idct2(items[rows])
     if spec.kind == FACE_LIKE:
-        template = _oval_template(spec.shape)
-    for item in items:
-        src.normal(out=item)
-        if spec.kind == UNSTRUCTURED:
-            continue
-        item *= mag
-        if spec.kind == LOW_FREQ_BLOBS:
-            item[...] = idct2(item)
-        else:  # FACE_LIKE
-            item[...] = template + 0.1 * idct2(item)
+        # Equals template + 0.1 * v bit for bit.
+        items *= 0.1
+        items += _oval_template(spec.shape)
     return ImageDataset(items)
 
 

@@ -88,8 +88,8 @@ def check_theorem2(model, x_t: np.ndarray, noise_gen, eps: float, n_mc: int,
     """
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     target_src = NoiseSource(seed)
     noise_src = NoiseSource.for_worker(seed, 0)
     drift = x_t + (eps / 2.0) * model.score(x_t, 0.0)

@@ -200,6 +200,15 @@ class TestValidate:
         assert res.exit_code == 0, res.output
         assert json.loads(path.read_text())["passed"]
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_theorem2_eps_must_be_positive_and_finite(self, eps):
+        # A bad option, not a failed validation (exit 2): a NaN or infinite
+        # eps would make every term NaN, which JSON cannot carry.
+        res = invoke("validate", "--theorem2", "--n-mc", "200", "--eps", eps)
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "eps" in lines[0]
+
     def test_metrics_needs_dirs(self):
         res = invoke("validate", "--metrics")
         assert res.exit_code == 1

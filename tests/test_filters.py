@@ -52,6 +52,16 @@ class TestFreqFilterParams:
         with pytest.raises(ValueError):
             FreqFilterParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "r1", "r2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        # Python's json reads NaN and Infinity, so parameter files can carry them.
+        fields = {"lambda1": 0.9, "lambda2": 0.7, "r1": 0.2, "r2": 0.4, field: value}
+        with pytest.raises(ValueError):
+            FreqFilterParams(**fields)
+        with pytest.raises(ValueError):
+            FreqFilterParams.from_json(json.dumps(fields))
+
     def test_lambda_above_one_allowed(self):
         # Amplification is legitimate in the reverse calibration direction.
         FreqFilterParams(2.94, 1.5, 0.2, 0.4)

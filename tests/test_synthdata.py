@@ -25,8 +25,9 @@ class TestSpec:
     def test_invalid_count_and_decay(self):
         with pytest.raises(ValueError):
             SynthSpec(UNSTRUCTURED, 0, (1, 8, 8))
-        with pytest.raises(ValueError):
-            SynthSpec(LOW_FREQ_BLOBS, 5, (1, 8, 8), spectral_decay=0.0)
+        for decay in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SynthSpec(LOW_FREQ_BLOBS, 5, (1, 8, 8), spectral_decay=decay)
 
 
 class TestGenerate:
@@ -36,19 +37,21 @@ class TestGenerate:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_equals_the_item_by_item_stack(self, kind):
-        spec = SynthSpec(kind, 5, (2, 9, 7), spectral_decay=1.3, seed=12)
-        src = NoiseSource(spec.seed)
-        mag = _decay_magnitude(9, 7, spec.spectral_decay)
-        items = []
-        for _ in range(spec.count):
-            noise = src.normal(spec.shape)
-            if kind == UNSTRUCTURED:
-                items.append(noise)
-            elif kind == LOW_FREQ_BLOBS:
-                items.append(idct2(mag * noise))
-            else:
-                items.append(_oval_template(spec.shape) + 0.1 * idct2(mag * noise))
-        assert np.array_equal(generate(spec).items, np.stack(items))
+        # 64 items of 32^2 fill a block, so 70 span two; a 260^2 item outgrows one.
+        for count, shape in [(5, (2, 9, 7)), (70, (1, 32, 32)), (2, (1, 260, 260))]:
+            spec = SynthSpec(kind, count, shape, spectral_decay=1.3, seed=12)
+            src = NoiseSource(spec.seed)
+            mag = _decay_magnitude(*shape[1:], spec.spectral_decay)
+            items = []
+            for _ in range(spec.count):
+                noise = src.normal(spec.shape)
+                if kind == UNSTRUCTURED:
+                    items.append(noise)
+                elif kind == LOW_FREQ_BLOBS:
+                    items.append(idct2(mag * noise))
+                else:
+                    items.append(_oval_template(spec.shape) + 0.1 * idct2(mag * noise))
+            assert np.array_equal(generate(spec).items, np.stack(items)), (count, shape)
 
     def test_shapes(self):
         ds = generate(SynthSpec(FACE_LIKE, 3, (2, 10, 12), seed=0))

@@ -59,6 +59,12 @@ class TestDeviationDecomposition:
         with pytest.raises(ValueError):
             check_theorem2(model, np.zeros((1, 2, 2)), lambda xs, src: xs, 0.01, 50)
 
+    @pytest.mark.parametrize("eps", [0.0, float("nan"), float("inf")])
+    def test_rejects_eps_that_is_not_positive_and_finite(self, eps):
+        model = GaussianScore(np.zeros((1, 2, 2)), 1.0)
+        with pytest.raises(ValueError, match="eps"):
+            check_theorem2(model, np.zeros((1, 2, 2)), lambda xs, src: xs, eps, 100)
+
     def test_json_report(self):
         model = GaussianScore(np.zeros((1, 2, 2)), 1.0)
         rep = check_theorem2(model, np.zeros((1, 2, 2)),

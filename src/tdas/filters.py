@@ -130,13 +130,20 @@ def _conjugate_symmetric(freq: np.ndarray) -> bool:
     )
 
 
-def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: str = DCT) -> np.ndarray:
+def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: str = DCT,
+               overwrite: bool = False) -> np.ndarray:
     """Regulate a noise tensor through the space mask and the spectral mask.
 
     All-ones masks are returned untouched (bit-identical), so unfiltered
-    sampling is literally a special case of the filtered path. A DFT mask must
+    sampling is literally a special case of the filtered path. Every other
+    call returns a new array object, never z itself, so a result that is z
+    tells a caller (or a tracer) that the masks were bypassed. A DFT mask must
     be conjugate-symmetric, M[h, w] == M[-h, -w], as every radial mask is: the
     output is then real and comes from the half-spectrum transforms.
+
+    overwrite has scipy.fft's overwrite_x meaning: z's contents may be
+    destroyed, and the result of a float64 z is a view of z's memory. Callers
+    that own a fresh block pass True; masks are checked before z is touched.
 
     Accepts extra leading batch axes on z.
     """
@@ -146,19 +153,28 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         )
     if space.is_identity and np.all(np.asarray(freq) == 1.0):
         return z
-    masked = z if space.is_identity else space.mask * z
+    if transform not in (DCT, DFT):
+        raise ValueError(f"unknown transform {transform!r}")
+    if transform == DFT and not _conjugate_symmetric(freq):
+        raise ValueError("DFT mask is not conjugate-symmetric, M[h, w] != M[-h, -w]")
+    # x is the buffer the rest may destroy: a view of a float64 z (so the
+    # result is not z itself), or the fresh product of the space mask. Other
+    # dtypes go through a float64 copy, as in scipy.
+    owned = overwrite and z.dtype == np.float64
+    x = z.view() if owned else z
+    if not space.is_identity:
+        x = np.multiply(space.mask, x, out=x if owned else None)
+        owned = True
     if transform == DCT:
-        spectrum = dct2(masked)
+        spectrum = dct2(x, owned)
         spectrum *= freq
-        return idct2(spectrum)
-    if transform == DFT:
-        if not _conjugate_symmetric(freq):
-            raise ValueError("DFT mask is not conjugate-symmetric, M[h, w] != M[-h, -w]")
-        height, width = masked.shape[-2:]
-        half = rdft2(masked)
-        half *= freq[..., : width // 2 + 1]
-        # numpy's inverse, not scipy's: scipy scales by 1/(HW) once where
-        # numpy scales by 1/H and then 1/W, which moves the last bits when H
-        # is not a power of two (see the transforms module docstring).
-        return np.fft.irfft2(half, s=(height, width), axes=(-2, -1))
-    raise ValueError(f"unknown transform {transform!r}")
+        return idct2(spectrum, True)
+    height, width = x.shape[-2:]
+    half = rdft2(x)
+    half *= freq[..., : width // 2 + 1]
+    # numpy's irfft2 as its two passes, so both can write into buffers we
+    # own. Not scipy's inverse: scipy scales by 1/(HW) once where numpy scales
+    # by 1/H and then 1/W, which moves the last bits when H is not a power of
+    # two (see the transforms module docstring).
+    np.fft.ifft(half, axis=-2, out=half)
+    return np.fft.irfft(half, n=width, axis=-1, out=x if owned else np.empty(x.shape))

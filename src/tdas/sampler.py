@@ -5,12 +5,13 @@ noise with apply_tdas, the transform-domain variant used by the equivalence
 harness conjugates the loop by an orthogonal map, and sample_batch runs a stack
 of chains with per-chain noise streams. Noise reaches the loop in blocks whose
 leading axis is the step, regulated once per block: a single chain draws as
-many steps as fit in core.BLOCK_BYTES per generator call, and sample_batch's
-blocks are one step deep.
+many steps as fit in core.BLOCK_BYTES per generator call, and sample_batch
+draws each step into one block the run reuses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,34 +105,46 @@ def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, fmap: OrthogonalM
 
     blocks yields standard-normal blocks whose leading axis is the step, and
     regulate(block) filters one (apply_tdas, or the identity for unfiltered
-    sampling); the initial state takes the first regulated row and step t the
-    row after. With fmap the state lives in the transform domain: each
-    regulated block is mapped forward once, the score is evaluated by mapping
-    back, and the result is mapped back before the optional final denoising
-    step. observe(state) sees the initial state and the state after every step;
-    states are never updated in place, so an observer may keep them without
-    copying.
+    sampling); the initial state is a copy of the first regulated row and step
+    t uses the row after. With fmap the state lives in the transform domain:
+    each regulated block is mapped forward once, the score is evaluated by
+    mapping back, and the result is mapped back before the optional final
+    denoising step. observe(state) sees a copy of the initial state and of the
+    state after every step, so an observer may keep what it is given.
+
+    Inside a step nothing of the state's size is allocated and freed: the
+    state is updated in place, the score's output (a new array, see
+    ScoreModel) is scaled in place and stays bound until the next step's
+    output replaces it, and the noise row is scaled in place in its block,
+    which the caller hands over for the loop to destroy. Eight chains at
+    256² are 4 MB, and freeing arrays of that size within a step let glibc
+    hand the top of the heap back to the kernel and fault it in again on the
+    next step.
     """
     step_score, noise_map = score, regulate
     if fmap is not None:
         step_score = lambda xt, sigma: fmap.forward(score(fmap.inverse(xt), sigma))
         noise_map = lambda z: fmap.forward(regulate(z))
     noise = _rows(blocks, noise_map)
-    x = next(noise)
+    x = next(noise).copy()
     if observe is not None:
-        observe(x)
+        observe(x.copy())
     for t, sigma, eps in cfg.schedule():
         if max_steps is not None and t >= max_steps:
             break
-        # eta holds its block until the next step's row replaces it, as per-step
-        # draws did: freeing a batch's regulated block before the next draw let
-        # the heap shrink and fault its pages back in on every step.
+        # eta is a row of a block the loop owns, so it is scaled where it
+        # lies. The update adds the terms in the order x + drift + noise,
+        # bit for bit the out-of-place x + (eps/2) score + sqrt(eps) eta.
         eta = next(noise)
-        x = x + (eps / 2.0) * step_score(x, sigma) + np.sqrt(eps) * eta
+        drift = step_score(x, sigma)
+        drift *= eps / 2.0
+        x += drift
+        eta *= math.sqrt(eps)
+        x += eta
         if not np.all(np.isfinite(x)):
             raise DivergenceError(t, t // cfg.levels.steps_per_level, sigma, _nonfinite_chains(x))
         if observe is not None:
-            observe(x)
+            observe(x.copy())
     if fmap is not None:
         x = fmap.inverse(x)
     if cfg.denoise_final:
@@ -147,11 +160,13 @@ def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, max_steps):
 
 
 def _batch_noise(sources, shape, steps):
-    """steps (1, n, C, H, W) blocks, row i of each drawn from sources[i]
-    straight into a fresh block (a regulated block may be the raw one, and
-    the loop keeps rows of it)."""
+    """steps (1, n, C, H, W) blocks, row i of each drawn from sources[i].
+
+    Every step is drawn into the same block, which the run owns: the loop
+    regulates it in place and keeps no row of it past the step, so the run
+    holds one block for its whole length instead of allocating one a step."""
+    block = np.empty((1, len(sources)) + tuple(shape))
     for _ in range(steps):
-        block = np.empty((1, len(sources)) + tuple(shape))
         for src, row in zip(sources, block[0]):
             src.normal(out=row)
         yield block
@@ -164,7 +179,7 @@ def langevin_sample(model, cfg: SamplerConfig, src: NoiseSource, space: SpaceFil
                     freq: np.ndarray):
     """Filtered annealed Langevin chain: init and every noise pass through the masks."""
     return _anneal(model.score, cfg, _chain_noise(src, space.mask.shape, cfg, None),
-                   lambda z: apply_tdas(z, space, freq, cfg.transform))
+                   lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))
 
 
 def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, max_steps=None,
@@ -210,4 +225,4 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
     return _anneal(model.score_batch, cfg, _batch_noise(sources, shape, cfg.total_steps + 1),
-                   lambda z: apply_tdas(z, space, freq, cfg.transform))
+                   lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))

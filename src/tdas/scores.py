@@ -17,21 +17,28 @@ from .core import ImageDataset, NoiseSource
 _TINY = np.finfo(np.float64).tiny
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+def _row_logsumexp(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """scipy.special.logsumexp(a, axis=1, keepdims=True) for a 2-D array of finite
     rows, bit for bit, without scipy's extra exp pass over the whole array: as in
     scipy, the m entries equal to a row's maximum are split off and the rest
-    enter as log1p(s/m)."""
+    enter as log1p(s/m). The exponentials go into scratch, an array of a's
+    shape and dtype whose contents are overwritten."""
     a_max = np.max(a, axis=1, keepdims=True)
     at_max = a == a_max
     m = np.sum(at_max, axis=1, keepdims=True, dtype=a.dtype)
-    e = np.exp(a - a_max)
+    e = np.subtract(a, a_max, out=scratch)
+    np.exp(e, out=e)
     e[at_max] = 0.0
     return np.log1p(np.sum(e, axis=1, keepdims=True) / m) + np.log(m) + a_max
 
 
 class ScoreModel:
-    """Interface: exact score of the sigma-smoothed target plus target draws."""
+    """Interface: exact score of the sigma-smoothed target plus target draws.
+
+    score and score_batch return a new writable array of x's shape, which the
+    caller owns: the sampler scales it in place, so a model must not hand out
+    an array it keeps (a cached result, a constant or a view of x).
+    """
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         raise NotImplementedError
@@ -88,25 +95,30 @@ class EmpiricalScore(ScoreModel):
         self._flat = self.ds.items.reshape(len(self.ds), -1)
         self._sq_norms = np.sum(self._flat**2, axis=1)
 
-    def _log_weights(self, x_flat, sigma):
+    def _weights(self, x_flat, sigma):
+        """(B, N) softmax weights, formed in the buffers of the cross product
+        and the logits: each in-place step is the out-of-place
+        exp(logits - logsumexp(logits)) with logits = -sq / (2 sigma^2), bit
+        for bit (negating the divisor rounds as negating the quotient)."""
+        prod = x_flat @ self._flat.T
+        prod *= 2.0
         # (B, N) squared distances via the expansion ||x - xi||^2.
-        sq = (
-            np.sum(x_flat**2, axis=1, keepdims=True)
-            + self._sq_norms[None, :]
-            - 2.0 * x_flat @ self._flat.T
-        )
-        logits = -sq / (2.0 * sigma**2)
-        return logits - _row_logsumexp(logits)
+        logits = np.sum(x_flat**2, axis=1, keepdims=True) + self._sq_norms[None, :]
+        logits -= prod
+        logits /= -(2.0 * sigma**2)
+        logits -= _row_logsumexp(logits, scratch=prod)
+        np.exp(logits, out=logits)
+        logits[logits < _TINY] = 0.0
+        return logits
 
     def score_batch(self, x: np.ndarray, sigma: float) -> np.ndarray:
         if sigma <= 0:
             raise ValueError("empirical score needs sigma > 0 (density is atomic at 0)")
         batch_shape = x.shape[: x.ndim - 3]
         x_flat = x.reshape(-1, self._flat.shape[1])
-        w = np.exp(self._log_weights(x_flat, sigma))
-        w[w < _TINY] = 0.0
-        weighted_mean = w @ self._flat
-        out = (weighted_mean - x_flat) / sigma**2
+        out = self._weights(x_flat, sigma) @ self._flat
+        out -= x_flat
+        out /= sigma**2
         return out.reshape(batch_shape + self.ds.shape)
 
     def score(self, x, sigma):

@@ -11,12 +11,14 @@ Which library runs which transform:
   rfft2 runs its real-to-complex and complex passes in one call into one
   output array, where numpy's runs them as two calls with an array each, and
   its result equals numpy's bit for bit.
-- numpy.fft: the inverse of the half spectrum (irfft2, in
-  filters.apply_tdas), dft2 and idft2_real. scipy's irfft2 scales by 1/(HW)
-  once where numpy scales by 1/H and then by 1/W, so the two differ in the
-  last bits whenever H is not a power of two, and scipy's fft2 and ifft2
-  differ from numpy's on many small shapes. Keeping these on numpy keeps
-  every recorded value in place.
+- numpy.fft: the inverse of the half spectrum, dft2 and idft2_real. The
+  inverse, in filters.apply_tdas, is numpy's irfft2 run as its own two
+  passes, ifft over H and then irfft over W, each with out= so they can
+  write into buffers the caller gives up; they equal np.fft.irfft2 bit for
+  bit. scipy's irfft2 scales by 1/(HW) once where numpy scales by 1/H and
+  then by 1/W, so the two differ in the last bits whenever H is not a power
+  of two, and scipy's fft2 and ifft2 differ from numpy's on many small
+  shapes. Keeping these on numpy keeps every recorded value in place.
 
 The 1D DCT is the orthonormal type-II variant: the 1/sqrt(2) weight sits on
 the k = 0 output coefficient, so the transform matrix is orthogonal and the
@@ -54,13 +56,20 @@ def dct_matrix(d: int) -> np.ndarray:
     return m
 
 
-def dct2(t: np.ndarray) -> np.ndarray:
-    """Separable orthonormal 2D DCT-II over the last two axes, per channel."""
-    return scipy.fft.dctn(np.asarray(t, dtype=np.float64), type=2, norm="ortho", axes=(-2, -1))
+def dct2(t: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Separable orthonormal 2D DCT-II over the last two axes, per channel.
+
+    With overwrite, t's contents may be destroyed (scipy's overwrite_x); the
+    result of a float64 t is then written into t's memory.
+    """
+    return scipy.fft.dctn(np.asarray(t, dtype=np.float64), type=2, norm="ortho", axes=(-2, -1),
+                          overwrite_x=overwrite)
 
 
-def idct2(t: np.ndarray) -> np.ndarray:
-    return scipy.fft.idctn(np.asarray(t, dtype=np.float64), type=2, norm="ortho", axes=(-2, -1))
+def idct2(t: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Inverse of dct2; overwrite as there."""
+    return scipy.fft.idctn(np.asarray(t, dtype=np.float64), type=2, norm="ortho", axes=(-2, -1),
+                           overwrite_x=overwrite)
 
 
 def dft2(t: np.ndarray) -> np.ndarray:

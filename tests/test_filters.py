@@ -146,6 +146,8 @@ class TestApplyTdas:
         z = rng.standard_normal((2, 8, 8))
         out = apply_tdas(z, identity_space_mask(z.shape), np.ones(z.shape), DCT)
         assert out is z
+        assert apply_tdas(z, identity_space_mask(z.shape), np.ones(z.shape), DFT,
+                          overwrite=True) is z
 
     def test_matches_manual_composition(self, rng):
         z = rng.standard_normal((1, 8, 8))
@@ -173,12 +175,16 @@ class TestApplyTdas:
         assert np.allclose(out, idft2_real(freq * dft2(z)), atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 1, 9, 7), (3, 1, 12, 9), (2, 3, 16, 16), (8, 1, 256, 256)])
-    @pytest.mark.parametrize("transform", [DCT, DFT])
-    def test_equals_the_numpy_route_bit_for_bit(self, shape, transform, rng):
+    @pytest.mark.parametrize("transform, overwrite, identity", [
+        pytest.param(t, o, i, id="-".join([t] + ["overwrite"] * o + ["identity-space"] * i))
+        for i in (False, True) for o in (False, True) for t in (DCT, DFT)])
+    def test_equals_the_numpy_route_bit_for_bit(self, shape, transform, overwrite, identity, rng):
         # The DFT goes forward through scipy's rfft2 and back through numpy's
-        # irfft2; the reference runs both ways on numpy.
+        # ifft and irfft, in place with overwrite; the reference runs both
+        # ways on numpy, back through irfft2.
         z = rng.standard_normal(shape)
-        space = SpaceFilter(rng.uniform(0.4, 1.0, shape[1:]))
+        space = (identity_space_mask(shape[1:]) if identity
+                 else SpaceFilter(rng.uniform(0.4, 1.0, shape[1:])))
         freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=transform), shape[1:])
         masked = space.mask * z
         if transform == DCT:
@@ -187,7 +193,15 @@ class TestApplyTdas:
             height, width = shape[-2:]
             half = np.fft.rfft2(masked, axes=(-2, -1)) * freq[..., : width // 2 + 1]
             expected = np.fft.irfft2(half, s=(height, width), axes=(-2, -1))
-        assert np.array_equal(apply_tdas(z, space, freq, transform), expected)
+        given = z.copy()
+        out = apply_tdas(z, space, freq, transform, overwrite=overwrite)
+        assert np.array_equal(out, expected)
+        # The masks are not all ones, so z itself would mean a bypass.
+        assert out is not z
+        if overwrite:
+            assert np.shares_memory(out, z)
+        else:
+            assert np.array_equal(z, given)
 
     def test_dft_refuses_asymmetric_mask(self, rng):
         # A real inverse DFT of an asymmetric mask would filter with its

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestLoops:
         x = vanilla_sample(model, cfg, NoiseSource(0), (1, 4, 4), observe=traj.append)
         assert len(traj) == cfg.total_steps + 1
         assert np.array_equal(traj[-1], x)
+        # The loop updates its state in place, so each state kept must be its
+        # own copy: none shares memory with another or with the result, and
+        # together they are a second run's trajectory copied step by step.
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(traj + [x], 2))
+        copied = []
+        vanilla_sample(model, cfg, NoiseSource(0), (1, 4, 4),
+                       observe=lambda state: copied.append(state.copy()))
+        assert all(np.array_equal(a, b) for a, b in zip(traj, copied, strict=True))
 
     def test_max_steps_truncates(self):
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)

@@ -206,5 +206,8 @@ def save_dataset(ds: ImageDataset, directory, extra_manifest=None) -> None:
 def load_dataset(directory) -> ImageDataset:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    items = [load_tensor(directory / name) for name in manifest["items"]]
-    return ImageDataset.from_list(items)
+    ds = ImageDataset.from_list([load_tensor(directory / name) for name in manifest["items"]])
+    if manifest["count"] != len(ds) or tuple(manifest["shape"]) != ds.shape:
+        raise ValueError(f"{directory}: manifest claims count {manifest['count']} and shape "
+                         f"{manifest['shape']}, items give {len(ds)} and {list(ds.shape)}")
+    return ds

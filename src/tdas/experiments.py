@@ -159,6 +159,8 @@ def run_calibration_trend() -> list[dict]:
 def filter_overhead_bench(sizes=(256, 512, 1024), repeats: int = 10) -> list[dict]:
     """Median wall time of one DFT-filtered noise application to a 3-channel
     grid, per grid size."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     src = NoiseSource(0)
     cases = []
     for n in sizes:

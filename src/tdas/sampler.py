@@ -53,7 +53,6 @@ class SamplerConfig:
     eps0: float
     accel_factor: float = 1.0
     transform: str = DCT
-    denoise_final: bool = False
 
     def __post_init__(self):
         if not (0 < self.eps0 < np.inf and 0 < self.accel_factor < np.inf):
@@ -99,18 +98,16 @@ def _nonfinite_chains(x) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(~finite))
 
 
-def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, fmap: OrthogonalMap | None = None,
-            max_steps=None, observe=None):
+def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, observe=None):
     """The annealed Langevin loop behind every entry point; leading axes pass through.
 
     blocks yields standard-normal blocks whose leading axis is the step, and
     regulate(block) filters one (apply_tdas, or the identity for unfiltered
     sampling); the initial state is a copy of the first regulated row and step
-    t uses the row after. With fmap the state lives in the transform domain:
-    each regulated block is mapped forward once, the score is evaluated by
-    mapping back, and the result is mapped back before the optional final
-    denoising step. observe(state) sees a copy of the initial state and of the
-    state after every step, so an observer may keep what it is given.
+    t uses the row after. score(x, sigma) is evaluated in the state's basis,
+    which the loop does not know: freq_domain_sample hands in a conjugated
+    score and regulator. observe(state) sees a copy of the initial state and
+    of the state after every step, so an observer may keep what it is given.
 
     Inside a step nothing of the state's size is allocated and freed: the
     state is updated in place, the score's output (a new array, see
@@ -121,22 +118,16 @@ def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, fmap: OrthogonalM
     hand the top of the heap back to the kernel and fault it in again on the
     next step.
     """
-    step_score, noise_map = score, regulate
-    if fmap is not None:
-        step_score = lambda xt, sigma: fmap.forward(score(fmap.inverse(xt), sigma))
-        noise_map = lambda z: fmap.forward(regulate(z))
-    noise = _rows(blocks, noise_map)
+    noise = _rows(blocks, regulate)
     x = next(noise).copy()
     if observe is not None:
         observe(x.copy())
     for t, sigma, eps in cfg.schedule():
-        if max_steps is not None and t >= max_steps:
-            break
         # eta is a row of a block the loop owns, so it is scaled where it
         # lies. The update adds the terms in the order x + drift + noise,
         # bit for bit the out-of-place x + (eps/2) score + sqrt(eps) eta.
         eta = next(noise)
-        drift = step_score(x, sigma)
+        drift = score(x, sigma)
         drift *= eps / 2.0
         x += drift
         eta *= math.sqrt(eps)
@@ -145,18 +136,7 @@ def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, fmap: OrthogonalM
             raise DivergenceError(t, t // cfg.levels.steps_per_level, sigma, _nonfinite_chains(x))
         if observe is not None:
             observe(x.copy())
-    if fmap is not None:
-        x = fmap.inverse(x)
-    if cfg.denoise_final:
-        x = x + cfg.levels.sigma_min**2 * score(x, cfg.levels.sigma_min)
     return x
-
-
-def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, max_steps):
-    """Blocks of exactly the draws one chain consumes: the initial state and
-    one per step that runs."""
-    steps = cfg.total_steps if max_steps is None else max(0, min(cfg.total_steps, max_steps))
-    return normal_blocks(src, shape, steps + 1)
 
 
 def _batch_noise(sources, shape, steps):
@@ -178,24 +158,30 @@ def _batch_noise(sources, shape, steps):
 def langevin_sample(model, cfg: SamplerConfig, src: NoiseSource, space: SpaceFilter,
                     freq: np.ndarray):
     """Filtered annealed Langevin chain: init and every noise pass through the masks."""
-    return _anneal(model.score, cfg, _chain_noise(src, space.mask.shape, cfg, None),
+    return _anneal(model.score, cfg, normal_blocks(src, space.mask.shape, cfg.total_steps + 1),
                    lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))
 
 
-def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, max_steps=None,
-                   observe=None):
+def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, observe=None):
     """Unfiltered annealed Langevin chain (the all-ones-mask case)."""
-    return _anneal(model.score, cfg, _chain_noise(src, shape, cfg, max_steps),
-                   max_steps=max_steps, observe=observe)
+    return _anneal(model.score, cfg, normal_blocks(src, shape, cfg.total_steps + 1),
+                   observe=observe)
 
 
 def freq_domain_sample(model, cfg: SamplerConfig, src: NoiseSource, shape,
-                       fmap: OrthogonalMap | None = None, max_steps=None, observe=None):
-    """Unfiltered chain conjugated by an orthogonal map (DCT by default): the
-    state, and what observe sees, live in the transform domain."""
-    return _anneal(model.score, cfg, _chain_noise(src, shape, cfg, max_steps),
-                   fmap=Dct2Map() if fmap is None else fmap, max_steps=max_steps,
-                   observe=observe)
+                       fmap: OrthogonalMap | None = None, observe=None):
+    """Unfiltered chain conjugated by an orthogonal map (DCT by default).
+
+    The one loop runs on y = fmap.forward(x): each noise block is mapped
+    forward once, the score is evaluated by mapping back, and the final
+    state is mapped back. The state, and what observe sees, live in the
+    transform domain.
+    """
+    if fmap is None:
+        fmap = Dct2Map()
+    y = _anneal(lambda y, sigma: fmap.forward(model.score(fmap.inverse(y), sigma)), cfg,
+                normal_blocks(src, shape, cfg.total_steps + 1), fmap.forward, observe)
+    return fmap.inverse(y)
 
 
 def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,

@@ -19,22 +19,23 @@ from .transforms import Dct2Map, OrthogonalMap
 
 def check_theorem1(model, cfg: SamplerConfig, seed: int, steps: int, shape=(1, 16, 16),
                    fmap: OrthogonalMap | None = None) -> float:
-    """Max over t of the sup-norm gap between the transform-domain trajectory and
-    the mapped spatial trajectory, when both loops consume the same noise stream.
+    """Max over the initial state and the first `steps` steps (1 <= steps <=
+    cfg.total_steps) of the sup-norm gap between the transform-domain
+    trajectory and the mapped spatial trajectory, when both full runs consume
+    the same noise stream.
 
     The conjugation identity is deterministic, so the result is round-off only.
     """
+    if not 1 <= steps <= cfg.total_steps:
+        raise ValueError(f"steps must be in 1..{cfg.total_steps}, got {steps}")
     if fmap is None:
         fmap = Dct2Map()
     traj_space, traj_freq = [], []
-    vanilla_sample(model, cfg, NoiseSource(seed), shape, max_steps=steps,
-                   observe=traj_space.append)
-    freq_domain_sample(model, cfg, NoiseSource(seed), shape, fmap=fmap, max_steps=steps,
-                       observe=traj_freq.append)
-    assert len(traj_space) == len(traj_freq)
+    vanilla_sample(model, cfg, NoiseSource(seed), shape, observe=traj_space.append)
+    freq_domain_sample(model, cfg, NoiseSource(seed), shape, fmap=fmap, observe=traj_freq.append)
     return max(
         float(np.max(np.abs(xf - fmap.forward(xs))))
-        for xs, xf in zip(traj_space, traj_freq)
+        for xs, xf in zip(traj_space[:steps + 1], traj_freq[:steps + 1], strict=True)
     )
 
 

@@ -177,6 +177,16 @@ class TestCalibrateStatsBench:
         lines = out.read_text().splitlines()
         assert lines[0] == "size,median_seconds" and lines[1].startswith("16,")
 
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_bench_rejects_repeats_below_one(self, tmp_path, repeats):
+        # No repeat used to give a NaN median in the CSV.
+        out = tmp_path / "b.csv"
+        res = invoke("bench", "--filter-overhead", "16", "--repeats", repeats, "--out", str(out))
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "repeats" in lines[0]
+        assert not out.exists()
+
 
 class TestValidate:
     def test_theorem1_passes(self, tmp_path):

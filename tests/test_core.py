@@ -244,3 +244,12 @@ class TestDataset:
         save_dataset(small_dataset, tmp_path / "ds")
         back = load_dataset(tmp_path / "ds")
         assert np.array_equal(back.items, small_dataset.items)
+
+    @pytest.mark.parametrize("claim, named", [({"count": 7}, ("count 7", "give 12")),
+                                              ({"shape": [3, 9, 9]}, ("[3, 9, 9]", "[1, 8, 8]"))])
+    def test_load_rejects_manifest_that_disagrees_with_items(self, tmp_path, small_dataset,
+                                                             claim, named):
+        save_dataset(small_dataset, tmp_path / "ds", extra_manifest=claim)
+        with pytest.raises(ValueError, match="manifest claims") as exc:
+            load_dataset(tmp_path / "ds")
+        assert all(value in str(exc.value) for value in named)

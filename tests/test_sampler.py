@@ -90,13 +90,6 @@ class TestLoops:
                        observe=lambda state: copied.append(state.copy()))
         assert all(np.array_equal(a, b) for a, b in zip(traj, copied, strict=True))
 
-    def test_max_steps_truncates(self):
-        model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
-        traj = []
-        vanilla_sample(model, make_cfg(), NoiseSource(0), (1, 4, 4), max_steps=7,
-                       observe=traj.append)
-        assert len(traj) == 8
-
     def test_divergence_detected(self):
         class ExplodingScore(GaussianScore):
             def score(self, x, sigma=0.0):
@@ -122,23 +115,17 @@ class TestLoops:
         first = 2 * cfg.levels.steps_per_level  # sigmas 1, 0.56, 0.32, ...
         with pytest.raises(DivergenceError) as exc:
             sample_batch(ExplodingLate(np.zeros(shape), 1.0), cfg, 42, n, shape=shape)
-        before = [vanilla_sample(GaussianScore(np.zeros(shape), 1.0), cfg,
-                                 NoiseSource.for_worker(42, i), shape, max_steps=first)
-                  for i in range(n)]
+        before = []
+        for i in range(n):
+            traj = []
+            vanilla_sample(GaussianScore(np.zeros(shape), 1.0), cfg, NoiseSource.for_worker(42, i),
+                           shape, observe=traj.append)
+            before.append(traj[first])
         expected = tuple(i for i in range(n) if before[i][0, 0, 0] > 0)
         assert 0 < len(expected) < n
         assert (exc.value.step, exc.value.level) == (first, 2)
         assert exc.value.sigma == cfg.levels.sigmas[2]
         assert exc.value.chains == expected
-
-    def test_denoise_final_step(self):
-        model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
-        cfg = make_cfg()
-        seed = 5
-        x_plain = vanilla_sample(model, cfg, NoiseSource(seed), (1, 4, 4))
-        x_den = vanilla_sample(model, make_cfg(denoise_final=True), NoiseSource(seed), (1, 4, 4))
-        smin = cfg.levels.sigma_min
-        assert np.allclose(x_den, x_plain + smin**2 * model.score(x_plain, smin))
 
     def test_filtered_noise_changes_output(self):
         model = GaussianScore(np.zeros((1, 8, 8)), 1.0)
@@ -153,23 +140,20 @@ class TestStreamPosition:
     # Each chain draws its initial state and one noise tensor per step it runs,
     # and no more, however the draws are blocked.
     @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 12, 9)])
-    @pytest.mark.parametrize("entry, max_steps",
-                             [(e, m) for e in ("vanilla", "freq_domain") for m in (None, 0, 7, 10_000)]
-                             + [("langevin", None)])
-    def test_source_ends_after_the_draws_consumed(self, shape, entry, max_steps):
+    @pytest.mark.parametrize("entry", ["vanilla", "freq_domain", "langevin"])
+    def test_source_ends_after_the_draws_consumed(self, shape, entry):
         model = GaussianScore(np.zeros(shape), 1.0)
         cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 5, 50))
         src = NoiseSource(3)
         if entry == "vanilla":
-            vanilla_sample(model, cfg, src, shape, max_steps=max_steps)
+            vanilla_sample(model, cfg, src, shape)
         elif entry == "freq_domain":
-            freq_domain_sample(model, cfg, src, shape, max_steps=max_steps)
+            freq_domain_sample(model, cfg, src, shape)
         else:
             langevin_sample(model, cfg, src, identity_space_mask(shape),
                             build_freq_mask(FreqFilterParams(0.5, 0.2, 0.2, 0.4), shape))
-        n = cfg.total_steps if max_steps is None else min(cfg.total_steps, max_steps)
         fresh = NoiseSource(3)
-        for _ in range(n + 1):
+        for _ in range(cfg.total_steps + 1):
             fresh.normal(shape)
         assert np.array_equal(src.normal(shape), fresh.normal(shape))
 
@@ -182,22 +166,14 @@ class TestFreqDomainLoop:
         x_conj = freq_domain_sample(model, cfg, NoiseSource(4), (1, 8, 8))
         assert np.allclose(x_space, x_conj, atol=1e-10)
 
-    def test_denoise_final_honoured(self):
-        model = GaussianScore(np.zeros((1, 8, 8)), 1.0)
-        cfg = make_cfg(denoise_final=True)
-        x_space = vanilla_sample(model, cfg, NoiseSource(4), (1, 8, 8))
-        x_conj = freq_domain_sample(model, cfg, NoiseSource(4), (1, 8, 8))
-        assert np.allclose(x_space, x_conj, rtol=0, atol=1e-10)
-
-    def test_observer_sees_transform_domain_states_before_denoising(self):
+    def test_observer_sees_transform_domain_states(self):
         model = GaussianScore(np.zeros((1, 8, 8)), 1.0)
         fmap = Dct2Map()
         traj = []
-        freq_domain_sample(model, make_cfg(denoise_final=True), NoiseSource(4), (1, 8, 8),
-                           fmap=fmap, observe=traj.append)
-        plain = freq_domain_sample(model, make_cfg(), NoiseSource(4), (1, 8, 8), fmap=fmap)
+        x = freq_domain_sample(model, make_cfg(), NoiseSource(4), (1, 8, 8), fmap=fmap,
+                               observe=traj.append)
         assert len(traj) == make_cfg().total_steps + 1
-        assert np.array_equal(fmap.inverse(traj[-1]), plain)
+        assert np.array_equal(fmap.inverse(traj[-1]), x)
 
 
 class TestSampleBatch:

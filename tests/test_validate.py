@@ -33,6 +33,13 @@ class TestTrajectoryEquivalence:
         dev = check_theorem1(model, make_cfg(), seed=0, steps=20, shape=(1, 8, 8), fmap=fmap)
         assert dev == 0.0
 
+    @pytest.mark.parametrize("steps", [0, -5, 21])
+    def test_rejects_steps_outside_the_run(self, steps):
+        # 0 or -5 steps compared only the initial state; the run has 20.
+        model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
+        with pytest.raises(ValueError, match="steps"):
+            check_theorem1(model, make_cfg(), 0, steps, (1, 4, 4))
+
 
 class TestDeviationDecomposition:
     def test_identity_holds_per_draw(self):

@@ -138,12 +138,15 @@ class TestLoops:
 
 class TestStreamPosition:
     # Each chain draws its initial state and one noise tensor per step it runs,
-    # and no more, however the draws are blocked.
+    # and no more, however the draws are blocked. A (3, 12, 9) block holds 202
+    # rows, so the 201-step run draws exactly one full block and the 250-step
+    # run one full block and part of a second.
     @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 12, 9)])
     @pytest.mark.parametrize("entry", ["vanilla", "freq_domain", "langevin"])
-    def test_source_ends_after_the_draws_consumed(self, shape, entry):
+    @pytest.mark.parametrize("levels, steps_per_level", [(1, 1), (3, 67), (5, 50)])
+    def test_source_ends_after_the_draws_consumed(self, shape, entry, levels, steps_per_level):
         model = GaussianScore(np.zeros(shape), 1.0)
-        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 5, 50))
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, levels, steps_per_level))
         src = NoiseSource(3)
         if entry == "vanilla":
             vanilla_sample(model, cfg, src, shape)

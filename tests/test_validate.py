@@ -6,9 +6,9 @@ import pytest
 
 from tdas import core, validate
 from tdas.core import ImageDataset, NoiseSource
-from tdas.sampler import SamplerConfig
+from tdas.sampler import SamplerConfig, freq_domain_sample, vanilla_sample
 from tdas.scores import EmpiricalScore, GaussianScore, geometric_levels
-from tdas.transforms import PermutationMap
+from tdas.transforms import Dct2Map, PermutationMap
 from tdas.validate import (
     check_theorem1,
     check_theorem2,
@@ -32,6 +32,20 @@ class TestTrajectoryEquivalence:
         fmap = PermutationMap((1, 8, 8), seed=1)
         dev = check_theorem1(model, make_cfg(), seed=0, steps=20, shape=(1, 8, 8), fmap=fmap)
         assert dev == 0.0
+
+    @pytest.mark.parametrize("steps", [1, 7, 20])
+    def test_compares_the_first_steps_of_the_trajectories(self, steps):
+        # The gap is the largest over the initial state and the first `steps`
+        # steps, measured on the two recorded full-run trajectories.
+        model = GaussianScore(np.linspace(-1.0, 1.0, 64).reshape(1, 8, 8), 0.7)
+        fmap = Dct2Map()
+        traj_space, traj_freq = [], []
+        vanilla_sample(model, make_cfg(), NoiseSource(3), (1, 8, 8), observe=traj_space.append)
+        freq_domain_sample(model, make_cfg(), NoiseSource(3), (1, 8, 8), fmap=fmap,
+                           observe=traj_freq.append)
+        gaps = [float(np.max(np.abs(xf - fmap.forward(xs))))
+                for xs, xf in zip(traj_space, traj_freq, strict=True)]
+        assert check_theorem1(model, make_cfg(), 3, steps, (1, 8, 8), fmap) == max(gaps[:steps + 1])
 
     @pytest.mark.parametrize("steps", [0, -5, 21])
     def test_rejects_steps_outside_the_run(self, steps):

@@ -152,6 +152,14 @@ def _load_run_config(path, overrides: dict) -> dict:
     return cfg
 
 
+def _config_int(value, name: str) -> int:
+    """A run-config count, which must be a JSON integer: int() would truncate
+    2.7 to 2 and take true for 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"run config {name!r} must be an integer, got {value!r}")
+    return value
+
+
 @main.command("sample")
 @click.argument("run_config", type=click.Path(exists=True))
 @click.option("--vanilla/--tdas", "use_vanilla", default=None,
@@ -167,13 +175,14 @@ def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
         cfg["vanilla"] = use_vanilla
     shape = tuple(cfg["shape"])
     lv = cfg["levels"]
-    steps_per_level = int(lv["steps_per_level"])
+    n_levels = _config_int(lv["levels"], "levels.levels")
+    steps_per_level = _config_int(lv["steps_per_level"], "levels.steps_per_level")
     if iterations is not None:
-        if iterations % int(lv["levels"]) != 0:
+        if iterations % n_levels != 0:
             raise ValueError("--iterations must be a multiple of the level count")
-        steps_per_level = iterations // int(lv["levels"])
-    levels = geometric_levels(float(lv["sigma_max"]), float(lv["sigma_min"]),
-                              int(lv["levels"]), steps_per_level)
+        steps_per_level = iterations // n_levels
+    levels = geometric_levels(float(lv["sigma_max"]), float(lv["sigma_min"]), n_levels,
+                              steps_per_level)
     model = _build_model(cfg)
     space, freq, transform = None, None, DCT
     if not cfg.get("vanilla", False):
@@ -186,8 +195,8 @@ def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
     sampler_cfg = SamplerConfig(levels=levels, eps0=float(cfg["eps0"]),
                                 accel_factor=float(cfg.get("accel_factor", 1.0)),
                                 transform=transform)
-    master_seed = int(cfg["seed"])
-    n_samples = int(cfg.get("n_samples", 1))
+    master_seed = _config_int(cfg["seed"], "seed")
+    n_samples = _config_int(cfg.get("n_samples", 1), "n_samples")
     mw = ManifestWriter("sample", cfg, master_seed)
     x = sample_batch(model, sampler_cfg, master_seed, n_samples,
                      space=space, freq=freq, shape=shape)

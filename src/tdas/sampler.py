@@ -6,7 +6,8 @@ harness conjugates the loop by an orthogonal map, and sample_batch runs a stack
 of chains with per-chain noise streams. Noise reaches the loop in blocks whose
 leading axis is the step, regulated once per block: a single chain draws as
 many steps as fit in core.BLOCK_BYTES per generator call, and sample_batch
-draws each step into one block the run reuses.
+draws each step into one block the run reuses and scores it into one drift
+buffer the run owns.
 """
 
 from __future__ import annotations
@@ -109,14 +110,15 @@ def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, observe=None):
     score and regulator. observe(state) sees a copy of the initial state and
     of the state after every step, so an observer may keep what it is given.
 
-    Inside a step nothing of the state's size is allocated and freed: the
-    state is updated in place, the score's output (a new array, see
-    ScoreModel) is scaled in place and stays bound until the next step's
-    output replaces it, and the noise row is scaled in place in its block,
-    which the caller hands over for the loop to destroy. Eight chains at
-    256² are 4 MB, and freeing arrays of that size within a step let glibc
-    hand the top of the heap back to the kernel and fault it in again on the
-    next step.
+    The state is updated in place, the score's output is scaled in place,
+    and the noise row is scaled in place in its block, which the caller
+    hands over for the loop to destroy. sample_batch's score writes into one
+    drift buffer the run owns, so nothing of the state's size is allocated
+    and freed inside its step; a single chain's score returns a new array
+    (see ScoreModel), which stays bound until the next step's replaces it.
+    Eight chains at 256² are 4 MB, and freeing arrays of that size within a
+    step let glibc hand the top of the heap back to the kernel and fault it
+    in again on the next step.
     """
     noise = _rows(blocks, regulate)
     x = next(noise).copy()
@@ -190,12 +192,14 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     """Run n_chains independent filtered chains with per-chain derived seeds.
 
     Noise is drawn chain-by-chain from per-chain streams, while the score of the
-    whole stack comes from one model.score_batch call per step. Chain i's noise
-    does not depend on n_chains, and nor does its output when score_batch
-    treats rows alone (the base class stacks per-chain score calls). A BLAS
-    score_batch, such as EmpiricalScore's, can round a row differently for
-    another batch size (a one-row product takes another BLAS path), so its
-    chains agree across batch sizes only to round-off.
+    whole stack comes from one model.score_batch call per step, written into
+    one (n_chains, C, H, W) drift buffer that the run allocates once. Chain
+    i's noise does not depend on n_chains, and nor does its output when
+    score_batch treats rows alone (the base class writes per-chain score
+    calls into their rows). A BLAS score_batch, such as EmpiricalScore's,
+    can round a row differently for another batch size (a one-row product
+    takes another BLAS path), so its chains agree across batch sizes only to
+    round-off.
     Returns an (n_chains, C, H, W) stack.
     """
     if n_chains < 1:
@@ -210,5 +214,7 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     if freq is None:
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
-    return _anneal(model.score_batch, cfg, _batch_noise(sources, shape, cfg.total_steps + 1),
+    drift = np.empty((n_chains,) + shape)
+    return _anneal(lambda x, sigma: model.score_batch(x, sigma, out=drift), cfg,
+                   _batch_noise(sources, shape, cfg.total_steps + 1),
                    lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))

@@ -7,6 +7,7 @@ between sampling schemes is attributable to the scheme itself.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,20 +33,36 @@ def _row_logsumexp(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.log1p(np.sum(e, axis=1, keepdims=True) / m) + np.log(m) + a_max
 
 
+def _put(row: np.ndarray, s: np.ndarray):
+    """Write one chain's score into its row. A call of its own, so a chain's
+    score is freed before the next chain's is computed."""
+    if np.shape(s) != row.shape:
+        raise ValueError(f"score returned shape {np.shape(s)} for a chain of shape {row.shape}")
+    row[...] = s
+
+
 class ScoreModel:
     """Interface: exact score of the sigma-smoothed target plus target draws.
 
-    score and score_batch return a new writable array of x's shape, which the
-    caller owns: the sampler scales it in place, so a model must not hand out
-    an array it keeps (a cached result, a constant or a view of x).
+    score returns a new writable array of x's shape, which the caller owns:
+    the sampler scales it in place, so a model must not hand out an array it
+    keeps (a cached result, a constant or a view of x). score_batch writes
+    into out, an array of x's shape that the caller owns, when one is given
+    (sample_batch hands in one drift buffer for the whole run), and
+    otherwise returns a new array as score does.
     """
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         raise NotImplementedError
 
-    def score_batch(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """Score of a (B, C, H, W) stack of chains, one score call per chain."""
-        return np.stack([self.score(xi, sigma) for xi in x])
+    def score_batch(self, x: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Score of a (B, C, H, W) stack of chains, one score call per chain,
+        each written into its row of out."""
+        if out is None:
+            out = np.empty(x.shape)
+        for xi, row in zip(x, out):
+            _put(row, self.score(xi, sigma))
+        return out
 
     def sample_targets(self, src: NoiseSource, n: int) -> np.ndarray:
         """An (n, C, H, W) stack of n target draws, in stream order."""
@@ -111,18 +128,28 @@ class EmpiricalScore(ScoreModel):
         logits[logits < _TINY] = 0.0
         return logits
 
-    def score_batch(self, x: np.ndarray, sigma: float) -> np.ndarray:
+    def score_batch(self, x: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
         if sigma <= 0:
             raise ValueError("empirical score needs sigma > 0 (density is atomic at 0)")
-        batch_shape = x.shape[: x.ndim - 3]
+        self._check_shape(x)
+        if out is None:
+            out = np.empty(x.shape)
         x_flat = x.reshape(-1, self._flat.shape[1])
-        out = self._weights(x_flat, sigma) @ self._flat
-        out -= x_flat
-        out /= sigma**2
-        return out.reshape(batch_shape + self.ds.shape)
+        # The product goes straight into out's memory; a flat view of it must exist.
+        out_flat = out.reshape(x_flat.shape, copy=False)
+        np.matmul(self._weights(x_flat, sigma), self._flat, out=out_flat)
+        out_flat -= x_flat
+        out_flat /= sigma**2
+        return out
 
     def score(self, x, sigma):
+        self._check_shape(x)
         return self.score_batch(x[None], sigma)[0]
+
+    def _check_shape(self, x):
+        # Any multiple of the image size would reshape; only stacks of images may pass.
+        if x.shape[-3:] != self.ds.shape:
+            raise ValueError(f"x of shape {x.shape} does not end in the dataset's {self.ds.shape}")
 
     def log_density(self, x, sigma):
         if sigma <= 0:
@@ -135,6 +162,11 @@ class EmpiricalScore(ScoreModel):
 
     def sample_targets(self, src, n):
         return self.ds.items[[src.integers(0, len(self.ds)) for _ in range(n)]]
+
+
+def _is_count(n) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -151,8 +183,8 @@ class NoiseLevels:
             raise ValueError("need at least one sigma, each positive and finite")
         if any(nxt >= prev for prev, nxt in zip(sig, sig[1:])):
             raise ValueError("sigmas must be strictly decreasing")
-        if self.steps_per_level < 1:
-            raise ValueError("steps_per_level must be >= 1")
+        if not _is_count(self.steps_per_level) or self.steps_per_level < 1:
+            raise ValueError(f"steps_per_level must be an integer >= 1, got {self.steps_per_level!r}")
 
     @property
     def levels(self) -> int:
@@ -169,9 +201,11 @@ class NoiseLevels:
 
 def geometric_levels(sigma_max: float, sigma_min: float, levels: int, steps_per_level: int = 1) -> NoiseLevels:
     """Geometric ladder sigma_i = sigma_max * (sigma_min/sigma_max)^((i-1)/(L-1))."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if not _is_count(levels) or levels < 1:
+        raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
     if levels == 1:
+        if not 0 < sigma_min <= sigma_max < np.inf:
+            raise ValueError(f"need finite sigma_max >= sigma_min > 0, got {sigma_max}, {sigma_min}")
         return NoiseLevels((sigma_max,), steps_per_level)
     if not sigma_max > sigma_min > 0:
         raise ValueError(f"need sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}")

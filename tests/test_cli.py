@@ -138,6 +138,31 @@ class TestSample:
         assert "error:" in res.output
 
 
+    @pytest.mark.parametrize("override", [
+        {"levels": {"sigma_max": 1.0, "sigma_min": 0.1, "levels": 5, "steps_per_level": 2.7}},
+        {"levels": {"sigma_max": 1.0, "sigma_min": 0.1, "levels": 5.5, "steps_per_level": 2}},
+        {"levels": {"sigma_max": 1.0, "sigma_min": 0.1, "levels": 5, "steps_per_level": True}},
+        {"n_samples": 2.7},
+        {"n_samples": "3"},
+        {"seed": 21.5},
+        {"seed": True},
+    ], ids=["steps_per_level", "levels", "steps_per_level-bool", "n_samples", "n_samples-str",
+            "seed", "seed-bool"])
+    def test_non_integral_counts_exit_one(self, tmp_path, override):
+        # int() would truncate 2.7 to 2 and read true as 1.
+        ds = make_data(tmp_path)
+        cfg = write_run_config(tmp_path, ds, **override)
+        res = invoke("sample", str(cfg), "--vanilla")
+        assert res.exit_code == 1
+        assert "must be an integer" in res.output
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_flag_replaces_a_non_integral_config_seed(self, tmp_path):
+        ds = make_data(tmp_path)
+        cfg = write_run_config(tmp_path, ds, seed=21.5)
+        assert invoke("sample", str(cfg), "--vanilla", "--seed", "21").exit_code == 0
+
+
 class TestCalibrateStatsBench:
     def test_calibrate_emits_params_and_curve(self, tmp_path):
         ref = make_data(tmp_path, count=30, name="ref", seed=1)

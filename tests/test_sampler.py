@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,28 @@ class TestSampleBatch:
             sample_batch(model, make_cfg(), 0, 2, space=space, shape=(1, 8, 8))
         agreeing = sample_batch(model, make_cfg(), 0, 2, space=space, shape=[1, 4, 4])
         assert np.array_equal(agreeing, sample_batch(model, make_cfg(), 0, 2, space=space))
+
+    def test_run_holds_state_block_and_drift(self):
+        # A state-sized array of eight 64² chains is 256 KiB. Besides the
+        # state, the noise block and the drift buffer, the run may hold two
+        # chains' worth (a chain's score and its temporary, the finite check,
+        # the chains' generators) and numpy's ufunc buffer of np.getbufsize()
+        # float64s, which apply_tdas's broadcast mask product takes at this
+        # size. Per-chain scores gathered in a list and stacked, or a drift
+        # allocated each step, come to at least a fourth array.
+        shape, n = (1, 64, 64), 8
+        model = GaussianScore(np.zeros(shape), 1.0)
+        freq = build_freq_mask(FreqFilterParams(0.9, 0.8, 0.3, 0.45, transform=DCT), shape)
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 2, 3))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sample_batch(model, cfg, 5, n, freq=freq, shape=shape)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        chain = 8 * math.prod(shape)
+        assert peak <= 3 * n * chain + 2 * chain + 8 * np.getbufsize()
 
     def test_model_with_only_score_runs_through_its_score(self):
         class Pull(ScoreModel):

@@ -71,6 +71,25 @@ class TestScoreBatchDefault:
         expected = np.stack([model.score(x, 0.7) for x in xs])
         assert np.array_equal(model.score_batch(xs, 0.7), expected)
 
+    @pytest.mark.parametrize("model", [GaussianScore(np.full((1, 3, 4), 0.25), 1.5), _ScoreOnly()],
+                             ids=["gaussian", "score-only"])
+    def test_writes_into_out(self, model, rng):
+        xs = rng.standard_normal((5, 1, 3, 4))
+        out = np.full(xs.shape, np.nan)
+        assert model.score_batch(xs, 0.7, out=out) is out
+        assert np.array_equal(out, np.stack([model.score(x, 0.7) for x in xs]))
+
+    @pytest.mark.parametrize("result", [lambda x: 1.0, lambda x: x[0, 0], lambda x: x[None]],
+                             ids=["scalar", "row", "extra-axis"])
+    def test_rejects_a_chain_score_of_another_shape(self, result):
+        # Each of these would broadcast into the chain's row.
+        class Odd(ScoreModel):
+            def score(self, x, sigma):
+                return result(x)
+
+        with pytest.raises(ValueError, match="shape"):
+            Odd().score_batch(np.ones((2, 1, 3, 4)), 0.7)
+
 
 class TestEmpiricalScore:
     def test_single_atom_reduces_to_gaussian(self, rng):
@@ -90,6 +109,29 @@ class TestEmpiricalScore:
         xs = rng.standard_normal((5, 1, 8, 8))
         batched = m.score_batch(xs, 0.9)
         assert np.allclose(batched, np.stack([m.score(x, 0.9) for x in xs]), atol=1e-10)
+
+    def test_score_batch_into_out_is_bit_identical(self, small_dataset, rng):
+        m = EmpiricalScore(small_dataset)
+        xs = rng.standard_normal((5, 1, 8, 8))
+        out = np.full(xs.shape, np.nan)
+        assert m.score_batch(xs, 0.9, out=out) is out
+        assert np.array_equal(out, m.score_batch(xs, 0.9))
+
+    @pytest.mark.parametrize("shape", [(1, 4, 16), (4, 4, 4), (64,), (8, 8), (3, 4, 8, 8)])
+    def test_score_rejects_x_not_ending_in_the_image_shape(self, small_dataset, shape):
+        # Each has a multiple of the 64 pixels, which a reshape would take.
+        with pytest.raises(ValueError, match="dataset"):
+            EmpiricalScore(small_dataset).score(np.zeros(shape), 0.9)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 16), (3, 4, 4, 4), (2, 64), (5, 2, 1, 8, 4)])
+    def test_score_batch_rejects_x_not_ending_in_the_image_shape(self, small_dataset, shape):
+        with pytest.raises(ValueError, match="dataset"):
+            EmpiricalScore(small_dataset).score_batch(np.zeros(shape), 0.9)
+
+    def test_score_takes_a_stack(self, small_dataset, rng):
+        m = EmpiricalScore(small_dataset)
+        xs = rng.standard_normal((2, 3, 1, 8, 8))
+        assert np.array_equal(m.score(xs, 0.9), m.score_batch(xs, 0.9))
 
     def test_far_point_stable(self, small_dataset):
         # Log-space weights must not overflow at large distances.
@@ -207,6 +249,15 @@ class TestNoiseLevels:
         with pytest.raises(ValueError, match="finite"):
             NoiseLevels(sigmas, 1)
 
+    @pytest.mark.parametrize("steps", [1.5, 2.0, True, "2", None])
+    def test_requires_integral_steps_per_level(self, steps):
+        # 1.5 made total_steps 3.0, which schedule() could not iterate.
+        with pytest.raises(ValueError, match="integer"):
+            NoiseLevels((1.0, 0.5), steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert NoiseLevels((1.0, 0.5), np.int64(3)).total_steps == 6
+
     def test_totals(self):
         lv = NoiseLevels((2.0, 1.0, 0.5), 4)
         assert lv.levels == 3 and lv.total_steps == 12 and lv.sigma_min == 0.5
@@ -225,3 +276,19 @@ class TestNoiseLevels:
 
     def test_geometric_single_level(self):
         assert geometric_levels(1.0, 0.1, 1).sigmas == (1.0,)
+
+    def test_geometric_single_level_may_start_at_sigma_min(self):
+        assert geometric_levels(0.5, 0.5, 1).sigmas == (0.5,)
+
+    @pytest.mark.parametrize("sigma_max, sigma_min", [(1.0, 5.0), (1.0, 0.0), (1.0, -0.1),
+                                                      (np.inf, 0.1), (np.nan, 0.1), (1.0, np.nan),
+                                                      (np.inf, np.inf)])
+    def test_geometric_single_level_checks_its_range(self, sigma_max, sigma_min):
+        # The one level is sigma_max, but the range must still hold.
+        with pytest.raises(ValueError):
+            geometric_levels(sigma_max, sigma_min, 1)
+
+    @pytest.mark.parametrize("levels", [2.5, 3.0, True])
+    def test_geometric_requires_integral_levels(self, levels):
+        with pytest.raises(ValueError, match="integer"):
+            geometric_levels(1.0, 0.1, levels)

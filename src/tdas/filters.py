@@ -10,7 +10,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import ImageDataset, DegenerateDatasetError, as_tensor
+from .core import ImageDataset, DegenerateDatasetError, as_tensor, block_slices
 from .transforms import dct2, idct2, rdft2
 
 DCT = "dct"
@@ -139,11 +139,14 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
     call returns a new array object, never z itself, so a result that is z
     tells a caller (or a tracer) that the masks were bypassed. A DFT mask must
     be conjugate-symmetric, M[h, w] == M[-h, -w], as every radial mask is: the
-    output is then real and comes from the half-spectrum transforms.
+    output is then real and comes from the half-spectrum transforms, taken
+    over one core.block_slices block of (C, H, W) items at a time, so the
+    half spectrum held at once is one block's, not the whole stack's.
 
     overwrite has scipy.fft's overwrite_x meaning: z's contents may be
-    destroyed, and the result of a float64 z is a view of z's memory. Callers
-    that own a fresh block pass True; masks are checked before z is touched.
+    destroyed, and the result of a C-contiguous float64 z is a view of z's
+    memory. Callers that own a fresh block pass True; masks are checked
+    before z is touched.
 
     Accepts extra leading batch axes on z.
     """
@@ -157,10 +160,11 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         raise ValueError(f"unknown transform {transform!r}")
     if transform == DFT and not _conjugate_symmetric(freq):
         raise ValueError("DFT mask is not conjugate-symmetric, M[h, w] != M[-h, -w]")
-    # x is the buffer the rest may destroy: a view of a float64 z (so the
-    # result is not z itself), or the fresh product of the space mask. Other
-    # dtypes go through a float64 copy, as in scipy.
-    owned = overwrite and z.dtype == np.float64
+    # x is the buffer the rest may destroy: a view of a C-contiguous float64
+    # z (so the result is not z itself), or the fresh product of the space
+    # mask. Other dtypes go through a float64 copy, as in scipy, and other
+    # layouts through a fresh output.
+    owned = overwrite and z.dtype == np.float64 and z.flags.c_contiguous
     x = z.view() if owned else z
     if not space.is_identity:
         x = np.multiply(space.mask, x, out=x if owned else None)
@@ -169,12 +173,20 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         spectrum = dct2(x, owned)
         spectrum *= freq
         return idct2(spectrum, True)
-    height, width = x.shape[-2:]
-    half = rdft2(x)
-    half *= freq[..., : width // 2 + 1]
-    # numpy's irfft2 as its two passes, so both can write into buffers we
-    # own. Not scipy's inverse: scipy scales by 1/(HW) once where numpy scales
-    # by 1/H and then 1/W, which moves the last bits when H is not a power of
-    # two (see the transforms module docstring).
-    np.fft.ifft(half, axis=-2, out=half)
-    return np.fft.irfft(half, n=width, axis=-1, out=x if owned else np.empty(x.shape))
+    width = x.shape[-1]
+    out = x if owned else np.empty(x.shape)
+    # Both reshapes are views, except of a z that is not owned and whose
+    # leading axes do not merge; that one is read from a copy.
+    items = (-1,) + x.shape[-3:]
+    x, flat_out = x.reshape(items), out.reshape(items)
+    for rows in block_slices(len(x), 8 * math.prod(x.shape[1:])):
+        half = rdft2(x[rows])
+        half *= freq[..., : width // 2 + 1]
+        # numpy's irfft2 as its two passes, so both can write into buffers
+        # we own. Not scipy's inverse: scipy scales by 1/(HW) once where
+        # numpy scales by 1/H and then 1/W, which moves the last bits when H
+        # is not a power of two (see the transforms module docstring).
+        np.fft.ifft(half, axis=-2, out=half)
+        np.fft.irfft(half, n=width, axis=-1, out=flat_out[rows])
+        del half  # so the next block's spectrum is not formed beside it
+    return out

@@ -6,8 +6,8 @@ harness conjugates the loop by an orthogonal map, and sample_batch runs a stack
 of chains with per-chain noise streams. Noise reaches the loop in blocks whose
 leading axis is the step, regulated once per block: a single chain draws as
 many steps as fit in core.BLOCK_BYTES per generator call, and sample_batch
-draws each step into one block the run reuses and scores it into one drift
-buffer the run owns.
+scores each step into one scratch block the run owns and then draws the
+step's noise into the same block.
 """
 
 from __future__ import annotations
@@ -112,26 +112,28 @@ def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, observe=None):
 
     The state is updated in place, the score's output is scaled in place,
     and the noise row is scaled in place in its block, which the caller
-    hands over for the loop to destroy. sample_batch's score writes into one
-    drift buffer the run owns, so nothing of the state's size is allocated
-    and freed inside its step; a single chain's score returns a new array
-    (see ScoreModel), which stays bound until the next step's replaces it.
-    Eight chains at 256² are 4 MB, and freeing arrays of that size within a
-    step let glibc hand the top of the heap back to the kernel and fault it
-    in again on the next step.
+    hands over for the loop to destroy. The drift is added before the
+    step's noise is taken from blocks, so the drift is dead by the time the
+    noise is drawn: sample_batch scores into one scratch block the run owns
+    and draws the noise into the same block, so nothing of the state's size
+    is allocated and freed inside its step. A single chain's score returns
+    a new array (see ScoreModel), which stays bound until the next step's
+    replaces it. Eight chains at 256² are 4 MB, and freeing arrays of that
+    size within a step let glibc hand the top of the heap back to the kernel
+    and fault it in again on the next step.
     """
     noise = _rows(blocks, regulate)
     x = next(noise).copy()
     if observe is not None:
         observe(x.copy())
     for t, sigma, eps in cfg.schedule():
-        # eta is a row of a block the loop owns, so it is scaled where it
-        # lies. The update adds the terms in the order x + drift + noise,
-        # bit for bit the out-of-place x + (eps/2) score + sqrt(eps) eta.
-        eta = next(noise)
+        # The update adds the terms in the order x + drift + noise, bit for
+        # bit the out-of-place x + (eps/2) score + sqrt(eps) eta. eta is a
+        # row of a block the loop owns, so it is scaled where it lies.
         drift = score(x, sigma)
         drift *= eps / 2.0
         x += drift
+        eta = next(noise)
         eta *= math.sqrt(eps)
         x += eta
         if not np.all(np.isfinite(x)):
@@ -141,13 +143,14 @@ def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, observe=None):
     return x
 
 
-def _batch_noise(sources, shape, steps):
-    """steps (1, n, C, H, W) blocks, row i of each drawn from sources[i].
+def _batch_noise(sources, block, steps):
+    """Draw steps times into block, a (1, n, C, H, W) array the run owns,
+    row i from sources[i], and yield it after each draw.
 
-    Every step is drawn into the same block, which the run owns: the loop
-    regulates it in place and keeps no row of it past the step, so the run
-    holds one block for its whole length instead of allocating one a step."""
-    block = np.empty((1, len(sources)) + tuple(shape))
+    The loop regulates the block in place and keeps no row of it past the
+    step, and sample_batch's score writes the drift into it between draws,
+    so the run holds one block for its whole length instead of allocating
+    one a step."""
     for _ in range(steps):
         for src, row in zip(sources, block[0]):
             src.normal(out=row)
@@ -192,14 +195,16 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     """Run n_chains independent filtered chains with per-chain derived seeds.
 
     Noise is drawn chain-by-chain from per-chain streams, while the score of the
-    whole stack comes from one model.score_batch call per step, written into
-    one (n_chains, C, H, W) drift buffer that the run allocates once. Chain
-    i's noise does not depend on n_chains, and nor does its output when
-    score_batch treats rows alone (the base class writes per-chain score
-    calls into their rows). A BLAS score_batch, such as EmpiricalScore's,
-    can round a row differently for another batch size (a one-row product
-    takes another BLAS path), so its chains agree across batch sizes only to
-    round-off.
+    whole stack comes from one model.score_batch call per step. The run
+    allocates one (1, n_chains, C, H, W) scratch block: each step's drift is
+    scored into it, added to the state, and then overwritten by the step's
+    noise, which is regulated there in place. A step thus holds two arrays
+    of the stack's size, the state and the scratch block. Chain i's noise
+    does not depend on n_chains, and nor does its output when score_batch
+    treats rows alone (the base class writes per-chain score calls into
+    their rows). A BLAS score_batch, such as EmpiricalScore's, can round a
+    row differently for another batch size (a one-row product takes another
+    BLAS path), so its chains agree across batch sizes only to round-off.
     Returns an (n_chains, C, H, W) stack.
     """
     if n_chains < 1:
@@ -214,7 +219,7 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     if freq is None:
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
-    drift = np.empty((n_chains,) + shape)
-    return _anneal(lambda x, sigma: model.score_batch(x, sigma, out=drift), cfg,
-                   _batch_noise(sources, shape, cfg.total_steps + 1),
+    scratch = np.empty((1, n_chains) + shape)
+    return _anneal(lambda x, sigma: model.score_batch(x, sigma, out=scratch[0]), cfg,
+                   _batch_noise(sources, scratch, cfg.total_steps + 1),
                    lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))

@@ -47,9 +47,11 @@ class ScoreModel:
     score returns a new writable array of x's shape, which the caller owns:
     the sampler scales it in place, so a model must not hand out an array it
     keeps (a cached result, a constant or a view of x). score_batch writes
-    into out, an array of x's shape that the caller owns, when one is given
-    (sample_batch hands in one drift buffer for the whole run), and
-    otherwise returns a new array as score does.
+    into out, an array of x's shape that the caller owns and that does not
+    overlap x, when one is given, and otherwise returns a new array as score
+    does. It may use out as scratch on the way and does not read what out
+    holds on entry: sample_batch hands in one scratch block for the whole
+    run, which also holds the previous step's noise.
     """
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -78,8 +80,12 @@ class GaussianScore(ScoreModel):
 
     def score(self, x, sigma=0.0):
         # fl(mu - x) = -fl(x - mu), so this is -(x - mu) / var without the
-        # negation's pass (only an exact zero keeps the other sign).
-        return (self.mu - x) / (self.s0**2 + sigma**2)
+        # negation's pass (only an exact zero keeps the other sign). Dividing
+        # in place holds one chain-sized array where numpy does not elide the
+        # quotient's temporary (below 256 KiB).
+        d = self.mu - x
+        d /= self.s0**2 + sigma**2
+        return d
 
     def log_density(self, x, sigma=0.0):
         var = self.s0**2 + sigma**2
@@ -112,15 +118,18 @@ class EmpiricalScore(ScoreModel):
         self._flat = self.ds.items.reshape(len(self.ds), -1)
         self._sq_norms = np.sum(self._flat**2, axis=1)
 
-    def _weights(self, x_flat, sigma):
+    def _weights(self, x_flat, sigma, scratch):
         """(B, N) softmax weights, formed in the buffers of the cross product
         and the logits: each in-place step is the out-of-place
         exp(logits - logsumexp(logits)) with logits = -sq / (2 sigma^2), bit
-        for bit (negating the divisor rounds as negating the quotient)."""
+        for bit (negating the divisor rounds as negating the quotient). The
+        rows' squares go into scratch, an array of x_flat's shape whose
+        contents are overwritten."""
         prod = x_flat @ self._flat.T
         prod *= 2.0
         # (B, N) squared distances via the expansion ||x - xi||^2.
-        logits = np.sum(x_flat**2, axis=1, keepdims=True) + self._sq_norms[None, :]
+        sq = np.square(x_flat, out=scratch)
+        logits = np.sum(sq, axis=1, keepdims=True) + self._sq_norms[None, :]
         logits -= prod
         logits /= -(2.0 * sigma**2)
         logits -= _row_logsumexp(logits, scratch=prod)
@@ -135,9 +144,10 @@ class EmpiricalScore(ScoreModel):
         if out is None:
             out = np.empty(x.shape)
         x_flat = x.reshape(-1, self._flat.shape[1])
-        # The product goes straight into out's memory; a flat view of it must exist.
+        # The rows' squares and then the product go straight into out's
+        # memory; a flat view of it must exist.
         out_flat = out.reshape(x_flat.shape, copy=False)
-        np.matmul(self._weights(x_flat, sigma), self._flat, out=out_flat)
+        np.matmul(self._weights(x_flat, sigma, scratch=out_flat), self._flat, out=out_flat)
         out_flat -= x_flat
         out_flat /= sigma**2
         return out

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ class TestSpaceMask:
             build_space_mask(ImageDataset(np.zeros((3, 1, 4, 4))))
 
 
+def _numpy_route(z, space, freq, transform):
+    """apply_tdas out of place: the DCT through dct2 and idct2, the DFT both
+    ways on numpy, back through irfft2."""
+    masked = space.mask * z
+    if transform == DCT:
+        return idct2(freq * dct2(masked))
+    height, width = z.shape[-2:]
+    half = np.fft.rfft2(masked, axes=(-2, -1)) * freq[..., : width // 2 + 1]
+    return np.fft.irfft2(half, s=(height, width), axes=(-2, -1))
+
+
 class TestApplyTdas:
     def test_identity_masks_bit_identical(self, rng):
         z = rng.standard_normal((2, 8, 8))
@@ -174,7 +186,11 @@ class TestApplyTdas:
         out = apply_tdas(z, identity_space_mask(z.shape), freq, DFT)
         assert np.allclose(out, idft2_real(freq * dft2(z)), atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 9, 7), (3, 1, 12, 9), (2, 3, 16, 16), (8, 1, 256, 256)])
+    # The DFT is taken a 512-KiB block of items at a time: (70, 1, 32, 32)
+    # spans two blocks, the second partial; a 300² item is larger than a
+    # block; sample_batch passes 5-axis (1, n, C, H, W) blocks.
+    @pytest.mark.parametrize("shape", [(2, 1, 9, 7), (3, 1, 12, 9), (2, 3, 16, 16), (8, 1, 256, 256),
+                                       (70, 1, 32, 32), (2, 1, 300, 300), (1, 8, 1, 64, 64)])
     @pytest.mark.parametrize("transform, overwrite, identity", [
         pytest.param(t, o, i, id="-".join([t] + ["overwrite"] * o + ["identity-space"] * i))
         for i in (False, True) for o in (False, True) for t in (DCT, DFT)])
@@ -183,16 +199,10 @@ class TestApplyTdas:
         # ifft and irfft, in place with overwrite; the reference runs both
         # ways on numpy, back through irfft2.
         z = rng.standard_normal(shape)
-        space = (identity_space_mask(shape[1:]) if identity
-                 else SpaceFilter(rng.uniform(0.4, 1.0, shape[1:])))
-        freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=transform), shape[1:])
-        masked = space.mask * z
-        if transform == DCT:
-            expected = idct2(freq * dct2(masked))
-        else:
-            height, width = shape[-2:]
-            half = np.fft.rfft2(masked, axes=(-2, -1)) * freq[..., : width // 2 + 1]
-            expected = np.fft.irfft2(half, s=(height, width), axes=(-2, -1))
+        space = (identity_space_mask(shape[-3:]) if identity
+                 else SpaceFilter(rng.uniform(0.4, 1.0, shape[-3:])))
+        freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=transform), shape[-3:])
+        expected = _numpy_route(z, space, freq, transform)
         given = z.copy()
         out = apply_tdas(z, space, freq, transform, overwrite=overwrite)
         assert np.array_equal(out, expected)
@@ -202,6 +212,47 @@ class TestApplyTdas:
             assert np.shares_memory(out, z)
         else:
             assert np.array_equal(z, given)
+
+    @pytest.mark.parametrize("transform", [DCT, DFT])
+    @pytest.mark.parametrize("identity", [False, True])
+    @pytest.mark.parametrize("layout", ["strided-items", "strided-columns", "strided-5-axis"])
+    def test_overwrite_of_a_strided_z_keeps_its_result(self, layout, identity, transform, rng):
+        # The DFT runs on a flat stack of items; a z whose leading axes do not
+        # merge (strided-5-axis) has no flat view, so its result must not be
+        # written into a reshaped copy and lost.
+        base = rng.standard_normal({"strided-items": (6, 1, 32, 32),
+                                    "strided-columns": (3, 1, 32, 64),
+                                    "strided-5-axis": (2, 4, 1, 32, 32)}[layout])
+        z = {"strided-items": base[::2], "strided-columns": base[..., ::2],
+             "strided-5-axis": base[:, :2]}[layout]
+        assert not z.flags.c_contiguous
+        space = (identity_space_mask(z.shape[-3:]) if identity
+                 else SpaceFilter(rng.uniform(0.4, 1.0, z.shape[-3:])))
+        freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=transform),
+                               z.shape[-3:])
+        expected = _numpy_route(z, space, freq, transform)
+        assert np.array_equal(apply_tdas(z, space, freq, transform, overwrite=True), expected)
+
+    def test_dft_holds_one_block_of_half_spectrum(self, rng):
+        # Eight 256² chains: one chain fills a 512-KiB block, so the half
+        # spectrum held at once is one chain's, 1/8 of the stack's. The
+        # complex mask product also takes numpy's ufunc buffer of
+        # np.getbufsize() complex128s, a quarter of a chain's half spectrum.
+        shape = (8, 1, 256, 256)
+        freq = build_freq_mask(FreqFilterParams(0.9, 0.8, 0.3, 0.45, transform=DFT), shape[1:])
+        space = identity_space_mask(shape[1:])
+        apply_tdas(rng.standard_normal(shape), space, freq, DFT, overwrite=True)  # FFT plans
+        z = rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = apply_tdas(z, space, freq, DFT, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(out, z)
+        half = 16 * shape[-2] * (shape[-1] // 2 + 1)
+        assert peak <= 2 * half
 
     def test_dft_refuses_asymmetric_mask(self, rng):
         # A real inverse DFT of an asymmetric mask would filter with its

@@ -249,12 +249,13 @@ class TestSampleBatch:
 
     def test_run_holds_state_block_and_drift(self):
         # A state-sized array of eight 64² chains is 256 KiB. Besides the
-        # state, the noise block and the drift buffer, the run may hold two
-        # chains' worth (a chain's score and its temporary, the finite check,
-        # the chains' generators) and numpy's ufunc buffer of np.getbufsize()
-        # float64s, which apply_tdas's broadcast mask product takes at this
-        # size. Per-chain scores gathered in a list and stacked, or a drift
-        # allocated each step, come to at least a fourth array.
+        # state and the scratch block that holds first the drift and then
+        # the noise, the run may hold two chains' worth (a chain's score, the
+        # finite check, the chains' generators) and numpy's ufunc buffer of
+        # np.getbufsize() float64s, which apply_tdas's broadcast mask product
+        # takes at this size. A noise block apart from the drift buffer, a
+        # drift allocated each step, or per-chain scores gathered in a list
+        # and stacked come to at least a third array.
         shape, n = (1, 64, 64), 8
         model = GaussianScore(np.zeros(shape), 1.0)
         freq = build_freq_mask(FreqFilterParams(0.9, 0.8, 0.3, 0.45, transform=DCT), shape)
@@ -267,7 +268,25 @@ class TestSampleBatch:
         finally:
             tracemalloc.stop()
         chain = 8 * math.prod(shape)
-        assert peak <= 3 * n * chain + 2 * chain + 8 * np.getbufsize()
+        assert peak <= 2 * n * chain + 2 * chain + 8 * np.getbufsize()
+
+    def test_empirical_run_holds_state_and_scratch_block(self):
+        # 400 chains at 32² are 3.3 MB a state-sized array. Besides the state
+        # and the scratch block, the run holds the finite check's booleans
+        # (an eighth of the state), the chains' generators (about 1 KB each)
+        # and the (400, 20) softmax weights, together under half a state. A
+        # separate drift buffer or the rows' squares would be a third array.
+        shape, n = (1, 32, 32), 400
+        model = EmpiricalScore(generate(SynthSpec(LOW_FREQ_BLOBS, 20, shape, seed=9)))
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 2, 3))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sample_batch(model, cfg, 5, n, shape=shape)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * 8 * math.prod(shape)
 
     def test_model_with_only_score_runs_through_its_score(self):
         class Pull(ScoreModel):

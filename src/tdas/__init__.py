@@ -10,7 +10,6 @@ from .core import (
     export_image,
     load_dataset,
     load_tensor,
-    normal_blocks,
     save_dataset,
     save_tensor,
 )

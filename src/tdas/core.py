@@ -7,7 +7,6 @@ shape (C, H, W). Masks, noises, scores, and images all share this carrier.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,22 +120,6 @@ def block_slices(count: int, item_bytes: int):
     per_block = max(1, BLOCK_BYTES // max(1, item_bytes))
     for start in range(0, count, per_block):
         yield slice(start, min(start + per_block, count))
-
-
-def normal_blocks(source: NoiseSource, shape, count: int):
-    """Yield count i.i.d. standard-normal tensors of shape (C, H, W), stacked
-    into (k, C, H, W) blocks of at most BLOCK_BYTES (k >= 1).
-
-    The rows are, bit for bit, the tensors that count successive
-    source.normal(shape) calls would give, and exactly count are drawn, so the
-    source ends where those calls would leave it.
-    """
-    shape = tuple(shape)
-    if len(shape) != 3:
-        raise ValueError(f"expected a (C, H, W) shape, got {shape}")
-    # An empty shape has 0-byte items, which source.normal rejects.
-    for rows in block_slices(count, 8 * math.prod(shape)):
-        yield source.normal((rows.stop - rows.start,) + shape)
 
 
 def save_tensor(t: np.ndarray, path) -> None:

@@ -3,11 +3,12 @@
 Vanilla sampling is the identity noise regulator, TDAS regulates each step's
 noise with apply_tdas, the transform-domain variant used by the equivalence
 harness conjugates the loop by an orthogonal map, and sample_batch runs a stack
-of chains with per-chain noise streams. Noise reaches the loop in blocks whose
-leading axis is the step, regulated once per block: a single chain draws as
-many steps as fit in core.BLOCK_BYTES per generator call, and sample_batch
-scores each step into one scratch block the run owns and then draws the
-step's noise into the same block.
+of chains with per-chain noise streams. Every run draws its noise into one
+block that it allocates once, whose leading axis is the step; _noise refills
+it, regulates each refill once and hands the loop a row a step. A single
+chain's block holds as many steps as fit in core.BLOCK_BYTES, filled by one
+generator call; sample_batch's holds one step, filled a row per chain, and
+takes each step's drift before the step's noise is drawn over it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSource, normal_blocks
+from .core import NoiseSource, block_slices
 from .filters import DCT, DFT, SpaceFilter, apply_tdas, identity_space_mask
-from .scores import NoiseLevels
+from .scores import NoiseLevels, _is_count
 from .transforms import Dct2Map, OrthogonalMap
 
 
@@ -80,16 +81,22 @@ def _same(z):
     return z
 
 
-def _rows(blocks, regulate):
-    """Regulate each block once and hand out its rows one step at a time.
+def _noise(draw, block, count, regulate):
+    """Yield count regulated standard-normal rows out of block, the one
+    array the run draws its noise into, whose leading axis is the step.
 
-    A raw block is dropped once it is regulated, and the regulated block once
-    the caller lets go of its last row.
+    Each refill draws into a leading slice of block (draw(part)), regulates
+    the slice once (apply_tdas, the identity, or freq_domain_sample's map
+    forward) and hands out its rows. The loop takes a row only after it is
+    done with the one before, so a refill overwrites nothing still in use.
+    One block for the whole run, rather than one a refill, keeps large
+    blocks from being freed and faulted in again (a 1024² chain refills
+    every step).
     """
-    for block in blocks:
-        block = regulate(block)
-        yield from block
-        del block
+    for start in range(0, count, len(block)):
+        part = block[: count - start]
+        draw(part)
+        yield from regulate(part)
 
 
 def _nonfinite_chains(x) -> tuple:
@@ -99,62 +106,55 @@ def _nonfinite_chains(x) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(~finite))
 
 
-def _anneal(score, cfg: SamplerConfig, blocks, regulate=_same, observe=None):
+def _anneal(score, cfg: SamplerConfig, noise, observe=None):
     """The annealed Langevin loop behind every entry point; leading axes pass through.
 
-    blocks yields standard-normal blocks whose leading axis is the step, and
-    regulate(block) filters one (apply_tdas, or the identity for unfiltered
-    sampling); the initial state is a copy of the first regulated row and step
-    t uses the row after. score(x, sigma) is evaluated in the state's basis,
-    which the loop does not know: freq_domain_sample hands in a conjugated
-    score and regulator. observe(state) sees a copy of the initial state and
-    of the state after every step, so an observer may keep what it is given.
+    noise yields the run's regulated noise rows: the initial state is a copy
+    of the first and step t takes the row after. score(x, sigma) is
+    evaluated in the state's basis, which the loop does not know:
+    freq_domain_sample hands in a conjugated score and noise mapped forward.
+    observe(state) sees a copy of the initial state and of the state after
+    every step, so an observer may keep what it is given.
 
     The state is updated in place, the score's output is scaled in place,
-    and the noise row is scaled in place in its block, which the caller
-    hands over for the loop to destroy. The drift is added before the
-    step's noise is taken from blocks, so the drift is dead by the time the
-    noise is drawn: sample_batch scores into one scratch block the run owns
-    and draws the noise into the same block, so nothing of the state's size
-    is allocated and freed inside its step. A single chain's score returns
-    a new array (see ScoreModel), which stays bound until the next step's
-    replaces it. Eight chains at 256² are 4 MB, and freeing arrays of that
-    size within a step let glibc hand the top of the heap back to the kernel
-    and fault it in again on the next step.
+    and each noise row is scaled where it lies. The drift is added before
+    the step's noise is taken, so sample_batch can score into its noise
+    block: its drift is dead by the time the noise is drawn over it. A
+    single chain's score returns a new array (see ScoreModel), which stays
+    bound until the next step's replaces it.
     """
-    noise = _rows(blocks, regulate)
     x = next(noise).copy()
     if observe is not None:
         observe(x.copy())
     for t, sigma, eps in cfg.schedule():
         # The update adds the terms in the order x + drift + noise, bit for
-        # bit the out-of-place x + (eps/2) score + sqrt(eps) eta. eta is a
-        # row of a block the loop owns, so it is scaled where it lies.
+        # bit the out-of-place x + (eps/2) score + sqrt(eps) eta.
         drift = score(x, sigma)
         drift *= eps / 2.0
         x += drift
         eta = next(noise)
         eta *= math.sqrt(eps)
         x += eta
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(t, t // cfg.levels.steps_per_level, sigma, _nonfinite_chains(x))
+        # A sum of finite entries may overflow, so only non-finite entries count.
+        if not math.isfinite(x.sum()) and (chains := _nonfinite_chains(x)):
+            raise DivergenceError(t, t // cfg.levels.steps_per_level, sigma, chains)
         if observe is not None:
             observe(x.copy())
     return x
 
 
-def _batch_noise(sources, block, steps):
-    """Draw steps times into block, a (1, n, C, H, W) array the run owns,
-    row i from sources[i], and yield it after each draw.
-
-    The loop regulates the block in place and keeps no row of it past the
-    step, and sample_batch's score writes the drift into it between draws,
-    so the run holds one block for its whole length instead of allocating
-    one a step."""
-    for _ in range(steps):
-        for src, row in zip(sources, block[0]):
-            src.normal(out=row)
-        yield block
+def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, regulate=_same):
+    """One chain's noise rows: cfg.total_steps + 1 draws from src into one
+    (k, C, H, W) block of at most core.BLOCK_BYTES (k >= 1), one
+    src.normal call per refill, so src ends where one draw per step
+    would leave it."""
+    shape = tuple(shape)
+    if len(shape) != 3:
+        raise ValueError(f"expected a (C, H, W) shape, got {shape}")
+    count = cfg.total_steps + 1
+    # An empty shape has 0-byte items, which src.normal rejects.
+    block = np.empty((next(block_slices(count, 8 * math.prod(shape))).stop,) + shape)
+    return _noise(lambda part: src.normal(out=part), block, count, regulate)
 
 
 # The entry points below are thin calls into _anneal and never call each other,
@@ -163,14 +163,14 @@ def _batch_noise(sources, block, steps):
 def langevin_sample(model, cfg: SamplerConfig, src: NoiseSource, space: SpaceFilter,
                     freq: np.ndarray):
     """Filtered annealed Langevin chain: init and every noise pass through the masks."""
-    return _anneal(model.score, cfg, normal_blocks(src, space.mask.shape, cfg.total_steps + 1),
-                   lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))
+    noise = _chain_noise(src, space.mask.shape, cfg,
+                         lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))
+    return _anneal(model.score, cfg, noise)
 
 
 def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, observe=None):
     """Unfiltered annealed Langevin chain (the all-ones-mask case)."""
-    return _anneal(model.score, cfg, normal_blocks(src, shape, cfg.total_steps + 1),
-                   observe=observe)
+    return _anneal(model.score, cfg, _chain_noise(src, shape, cfg), observe)
 
 
 def freq_domain_sample(model, cfg: SamplerConfig, src: NoiseSource, shape,
@@ -185,7 +185,7 @@ def freq_domain_sample(model, cfg: SamplerConfig, src: NoiseSource, shape,
     if fmap is None:
         fmap = Dct2Map()
     y = _anneal(lambda y, sigma: fmap.forward(model.score(fmap.inverse(y), sigma)), cfg,
-                normal_blocks(src, shape, cfg.total_steps + 1), fmap.forward, observe)
+                _chain_noise(src, shape, cfg, fmap.forward), observe)
     return fmap.inverse(y)
 
 
@@ -196,19 +196,19 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
 
     Noise is drawn chain-by-chain from per-chain streams, while the score of the
     whole stack comes from one model.score_batch call per step. The run
-    allocates one (1, n_chains, C, H, W) scratch block: each step's drift is
-    scored into it, added to the state, and then overwritten by the step's
-    noise, which is regulated there in place. A step thus holds two arrays
-    of the stack's size, the state and the scratch block. Chain i's noise
-    does not depend on n_chains, and nor does its output when score_batch
-    treats rows alone (the base class writes per-chain score calls into
-    their rows). A BLAS score_batch, such as EmpiricalScore's, can round a
-    row differently for another batch size (a one-row product takes another
-    BLAS path), so its chains agree across batch sizes only to round-off.
-    Returns an (n_chains, C, H, W) stack.
+    allocates one (1, n_chains, C, H, W) block: each step's drift is scored
+    into it, added to the state, and then overwritten by the step's noise,
+    each chain drawing its row, which is regulated there in place. A step
+    thus holds two arrays of the stack's size, the state and the block.
+    Chain i's noise does not depend on n_chains, and nor does its output
+    when score_batch treats rows alone (the base class writes per-chain
+    score calls into their rows). A BLAS score_batch, such as
+    EmpiricalScore's, can round a row differently for another batch size (a
+    one-row product takes another BLAS path), so its chains agree across
+    batch sizes only to round-off. Returns an (n_chains, C, H, W) stack.
     """
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+    if not _is_count(n_chains) or n_chains < 1:
+        raise ValueError(f"n_chains must be an integer >= 1, got {n_chains!r}")
     if space is None:
         if shape is None:
             raise ValueError("need either a space mask or an explicit shape")
@@ -219,7 +219,12 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     if freq is None:
         freq = np.ones(shape)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
-    scratch = np.empty((1, n_chains) + shape)
-    return _anneal(lambda x, sigma: model.score_batch(x, sigma, out=scratch[0]), cfg,
-                   _batch_noise(sources, scratch, cfg.total_steps + 1),
-                   lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))
+
+    def draw(part):
+        for src, row in zip(sources, part[0]):
+            src.normal(out=row)
+
+    block = np.empty((1, n_chains) + shape)
+    return _anneal(lambda x, sigma: model.score_batch(x, sigma, out=block[0]), cfg,
+                   _noise(draw, block, cfg.total_steps + 1,
+                          lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True)))

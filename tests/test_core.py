@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from tdas.core import (
     export_image,
     load_dataset,
     load_tensor,
-    normal_blocks,
     save_dataset,
     save_tensor,
 )
@@ -132,25 +129,6 @@ def test_block_slices_cover_the_range_in_bounded_blocks(count, item_bytes):
 @pytest.mark.parametrize("item_bytes", [0, 8, BLOCK_BYTES, BLOCK_BYTES + 1])
 def test_block_slices_of_nothing_is_empty(item_bytes):
     assert list(block_slices(0, item_bytes)) == []
-
-
-@pytest.mark.parametrize("shape", [(4, 4), (1, 0, 4)])
-def test_normal_blocks_requires_chw(shape):
-    with pytest.raises(ValueError):
-        next(normal_blocks(NoiseSource(0), shape, 3))
-
-
-@pytest.mark.parametrize("shape", [(1, 4, 4), (3, 12, 9), (1, 260, 260)])
-def test_normal_blocks_are_successive_draws(shape):
-    # Per-step sizes that divide the block bound, that do not, and that exceed it.
-    step_bytes = 8 * math.prod(shape)
-    count = 2 * max(1, BLOCK_BYTES // step_bytes) + 1
-    src, ref = NoiseSource(9), NoiseSource(9)
-    blocks = list(normal_blocks(src, shape, count))
-    assert all(b.shape[1:] == shape and (b.nbytes <= BLOCK_BYTES or len(b) == 1) for b in blocks)
-    assert len(blocks) == 3
-    assert np.array_equal(np.concatenate(blocks), np.stack([ref.normal(shape) for _ in range(count)]))
-    assert np.array_equal(src.normal((5,)), ref.normal((5,)))
 
 
 class TestTensorIO:

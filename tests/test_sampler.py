@@ -128,6 +128,22 @@ class TestLoops:
         assert exc.value.sigma == cfg.levels.sigmas[2]
         assert exc.value.chains == expected
 
+    def test_finite_entries_whose_sum_overflows_are_not_a_divergence(self):
+        # With eps = 2 the drift moves every entry to 1e308 in one step, and
+        # 1e308 absorbs the noise, so each state's entries are finite while
+        # their sum is not (numpy's overflow warning is silenced).
+        class ToHuge(ScoreModel):
+            def score(self, x, sigma):
+                return 1e308 - x
+
+        shape = (1, 4, 4)
+        cfg = make_cfg(levels=geometric_levels(1.0, 1.0, 1, 5), eps0=2.0)
+        with np.errstate(over="ignore"):
+            for out in (vanilla_sample(ToHuge(), cfg, NoiseSource(0), shape),
+                        sample_batch(ToHuge(), cfg, 42, 3, shape=shape)):
+                assert np.all(out == 1e308)
+                assert not math.isfinite(out.sum())
+
     def test_filtered_noise_changes_output(self):
         model = GaussianScore(np.zeros((1, 8, 8)), 1.0)
         cfg = make_cfg()
@@ -135,6 +151,12 @@ class TestLoops:
         v = vanilla_sample(model, cfg, NoiseSource(0), (1, 8, 8))
         f = langevin_sample(model, cfg, NoiseSource(0), identity_space_mask((1, 8, 8)), freq)
         assert not np.allclose(v, f)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 0, 4)])
+    @pytest.mark.parametrize("entry", [vanilla_sample, freq_domain_sample])
+    def test_rejects_shape_that_is_not_chw(self, entry, shape):
+        with pytest.raises(ValueError):
+            entry(GaussianScore(np.zeros((1, 4, 4)), 1.0), make_cfg(), NoiseSource(0), shape)
 
 
 class TestStreamPosition:
@@ -205,12 +227,17 @@ class TestSampleBatch:
         np.testing.assert_allclose(sample_batch(model, make_cfg(), 42, k, shape=(1, 8, 8)),
                                    full[:k], rtol=0, atol=1e-12)
 
-    def test_matches_single_chain_loop(self):
-        model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
-        cfg = make_cfg()
-        batch = sample_batch(model, cfg, 42, 3, shape=(1, 4, 4))
+    # A single chain draws its steps in blocks of up to 512 KiB, a batch one
+    # step at a time; (3, 12, 9) steps do not divide the bound and their 251
+    # draws span two blocks, and a (1, 260, 260) step is above it.
+    @pytest.mark.parametrize("shape, levels", [((1, 4, 4), (5, 4)), ((3, 12, 9), (5, 50)),
+                                               ((1, 260, 260), (2, 2))])
+    def test_matches_single_chain_loop(self, shape, levels):
+        model = GaussianScore(np.zeros(shape), 1.0)
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, *levels))
+        batch = sample_batch(model, cfg, 42, 3, shape=shape)
         for i in range(3):
-            single = vanilla_sample(model, cfg, NoiseSource.for_worker(42, i), (1, 4, 4))
+            single = vanilla_sample(model, cfg, NoiseSource.for_worker(42, i), shape)
             assert np.array_equal(batch[i], single)
 
     # Per-step sizes of 128 B and 2,592 B (below the 512-KiB noise block; the
@@ -229,7 +256,7 @@ class TestSampleBatch:
             single = langevin_sample(model, cfg, NoiseSource.for_worker(42, i), space, freq)
             assert np.array_equal(batch[i], single)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
     def test_rejects_fewer_than_one_chain(self, n):
         with pytest.raises(ValueError):
             sample_batch(GaussianScore(np.zeros((1, 4, 4)), 1.0), make_cfg(), 0, n, shape=(1, 4, 4))
@@ -250,8 +277,8 @@ class TestSampleBatch:
     def test_run_holds_state_block_and_drift(self):
         # A state-sized array of eight 64² chains is 256 KiB. Besides the
         # state and the scratch block that holds first the drift and then
-        # the noise, the run may hold two chains' worth (a chain's score, the
-        # finite check, the chains' generators) and numpy's ufunc buffer of
+        # the noise, the run may hold two chains' worth (a chain's score and
+        # the chains' generators) and numpy's ufunc buffer of
         # np.getbufsize() float64s, which apply_tdas's broadcast mask product
         # takes at this size. A noise block apart from the drift buffer, a
         # drift allocated each step, or per-chain scores gathered in a list
@@ -272,10 +299,10 @@ class TestSampleBatch:
 
     def test_empirical_run_holds_state_and_scratch_block(self):
         # 400 chains at 32² are 3.3 MB a state-sized array. Besides the state
-        # and the scratch block, the run holds the finite check's booleans
-        # (an eighth of the state), the chains' generators (about 1 KB each)
-        # and the (400, 20) softmax weights, together under half a state. A
-        # separate drift buffer or the rows' squares would be a third array.
+        # and the scratch block, the run holds the chains' generators (about
+        # 1 KB each) and the (400, 20) softmax weights, together under half
+        # a state. A separate drift buffer or the rows' squares would be a
+        # third array.
         shape, n = (1, 32, 32), 400
         model = EmpiricalScore(generate(SynthSpec(LOW_FREQ_BLOBS, 20, shape, seed=9)))
         cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 2, 3))
@@ -287,6 +314,23 @@ class TestSampleBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * 8 * math.prod(shape)
+
+    def test_finite_check_allocates_nothing_state_sized(self):
+        # 64 chains at 64² are 2 MiB a state-sized array. Besides the state
+        # and the scratch block, the run holds one chain's score and the
+        # chains' generators, under a tenth of a state; a finite check
+        # through an array of booleans would add an eighth.
+        shape, n = (1, 64, 64), 64
+        model = GaussianScore(np.zeros(shape), 1.0)
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 2, 3))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sample_batch(model, cfg, 5, n, shape=shape)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.125 * n * 8 * math.prod(shape)
 
     def test_model_with_only_score_runs_through_its_score(self):
         class Pull(ScoreModel):

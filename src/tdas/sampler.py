@@ -9,6 +9,13 @@ it, regulates each refill once and hands the loop a row a step. A single
 chain's block holds as many steps as fit in core.BLOCK_BYTES, filled by one
 generator call; sample_batch's holds one step, filled a row per chain, and
 takes each step's drift before the step's noise is drawn over it.
+
+A filtered run whose mask is a frequency-only DCT mask, and whose model has
+a DCT-basis form (ScoreModel.in_basis, as GaussianScore does), runs the same
+loop in the DCT basis: D^-1[M * D[z]] there is M * D[z], and D[z] is again
+standard normal, so each raw draw is multiplied by the mask and no transform
+runs per step; the final state is mapped back once. The chains have the law
+of the pixel-basis run but not its draws.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from .core import NoiseSource, block_slices
 from .filters import DCT, DFT, SpaceFilter, apply_tdas, identity_space_mask
 from .scores import NoiseLevels, _is_count
-from .transforms import Dct2Map, OrthogonalMap
+from .transforms import Dct2Map, OrthogonalMap, idct2
 
 
 class DivergenceError(Exception):
@@ -86,8 +93,8 @@ def _noise(draw, block, count, regulate):
     array the run draws its noise into, whose leading axis is the step.
 
     Each refill draws into a leading slice of block (draw(part)), regulates
-    the slice once (apply_tdas, the identity, or freq_domain_sample's map
-    forward) and hands out its rows. The loop takes a row only after it is
+    the slice once (apply_tdas, the DCT-basis mask product, the identity, or
+    freq_domain_sample's map forward) and hands out its rows. The loop takes a row only after it is
     done with the one before, so a refill overwrites nothing still in use.
     One block for the whole run, rather than one a refill, keeps large
     blocks from being freed and faulted in again (a 1024² chain refills
@@ -112,7 +119,8 @@ def _anneal(score, cfg: SamplerConfig, noise, observe=None):
     noise yields the run's regulated noise rows: the initial state is a copy
     of the first and step t takes the row after. score(x, sigma) is
     evaluated in the state's basis, which the loop does not know:
-    freq_domain_sample hands in a conjugated score and noise mapped forward.
+    freq_domain_sample hands in a conjugated score and noise mapped forward,
+    and a DCT-basis run the model's in_basis score and masked raw draws.
     observe(state) sees a copy of the initial state and of the state after
     every step, so an observer may keep what it is given.
 
@@ -135,8 +143,11 @@ def _anneal(score, cfg: SamplerConfig, noise, observe=None):
         eta = next(noise)
         eta *= math.sqrt(eps)
         x += eta
-        # A sum of finite entries may overflow, so only non-finite entries count.
-        if not math.isfinite(x.sum()) and (chains := _nonfinite_chains(x)):
+        # A sum of finite entries may overflow, so only non-finite entries
+        # count, and the sum's own overflow (or inf - inf) is no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = x.sum()
+        if not math.isfinite(total) and (chains := _nonfinite_chains(x)):
             raise DivergenceError(t, t // cfg.levels.steps_per_level, sigma, chains)
         if observe is not None:
             observe(x.copy())
@@ -157,15 +168,44 @@ def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, regulate=_same):
     return _noise(lambda part: src.normal(out=part), block, count, regulate)
 
 
+def _mask_rows(part, freq):
+    """The DCT-basis regulation: each (C, H, W) row of a noise block times
+    freq, in place. Row by row, because a product broadcast over planes
+    smaller than numpy's ufunc buffer takes that 64-KiB buffer."""
+    for row in part.reshape((-1,) + np.shape(freq)):
+        row *= freq
+    return part
+
+
+def _filtered(model, cfg: SamplerConfig, space: SpaceFilter, freq):
+    """(model, regulate, finish) of a filtered run: the model whose score the
+    loop takes, the noise regulation and the map of the final state.
+
+    The run steps in the DCT basis when cfg.transform is the DCT, the space
+    mask is the identity, freq has the space mask's shape and is not all
+    ones (which apply_tdas would bypass) and the model has a DCT-basis form.
+    Every other run regulates in the pixel basis with apply_tdas.
+    """
+    if (cfg.transform == DCT and space.is_identity and np.shape(freq) == space.mask.shape
+            and not np.all(np.asarray(freq) == 1.0)
+            and (in_dct := model.in_basis(Dct2Map())) is not None):
+        return in_dct, lambda z: _mask_rows(z, freq), lambda y: idct2(y, overwrite=True)
+    return model, lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True), _same
+
+
 # The entry points below are thin calls into _anneal and never call each other,
 # so a wrapper around one of them sees each chain step once.
 
 def langevin_sample(model, cfg: SamplerConfig, src: NoiseSource, space: SpaceFilter,
                     freq: np.ndarray):
-    """Filtered annealed Langevin chain: init and every noise pass through the masks."""
-    noise = _chain_noise(src, space.mask.shape, cfg,
-                         lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True))
-    return _anneal(model.score, cfg, noise)
+    """Filtered annealed Langevin chain: init and every noise pass through the masks.
+
+    With a frequency-only DCT mask and a model that has a DCT-basis form the
+    chain runs in the DCT basis (see the module docstring): its draws differ
+    from the pixel-basis run's, its law does not.
+    """
+    model, regulate, finish = _filtered(model, cfg, space, freq)
+    return finish(_anneal(model.score, cfg, _chain_noise(src, space.mask.shape, cfg, regulate)))
 
 
 def vanilla_sample(model, cfg: SamplerConfig, src: NoiseSource, shape, observe=None):
@@ -205,7 +245,9 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     score calls into their rows). A BLAS score_batch, such as
     EmpiricalScore's, can round a row differently for another batch size (a
     one-row product takes another BLAS path), so its chains agree across
-    batch sizes only to round-off. Returns an (n_chains, C, H, W) stack.
+    batch sizes only to round-off. A frequency-only DCT mask with a model
+    that has a DCT-basis form runs the stack in the DCT basis, as
+    langevin_sample does. Returns an (n_chains, C, H, W) stack.
     """
     if not _is_count(n_chains) or n_chains < 1:
         raise ValueError(f"n_chains must be an integer >= 1, got {n_chains!r}")
@@ -218,6 +260,7 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     shape = space.mask.shape
     if freq is None:
         freq = np.ones(shape)
+    model, regulate, finish = _filtered(model, cfg, space, freq)
     sources = [NoiseSource.for_worker(master_seed, i) for i in range(n_chains)]
 
     def draw(part):
@@ -225,6 +268,5 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
             src.normal(out=row)
 
     block = np.empty((1, n_chains) + shape)
-    return _anneal(lambda x, sigma: model.score_batch(x, sigma, out=block[0]), cfg,
-                   _noise(draw, block, cfg.total_steps + 1,
-                          lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True)))
+    return finish(_anneal(lambda x, sigma: model.score_batch(x, sigma, out=block[0]), cfg,
+                          _noise(draw, block, cfg.total_steps + 1, regulate)))

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import ImageDataset, NoiseSource
+from .transforms import OrthogonalMap
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -70,6 +71,18 @@ class ScoreModel:
         """An (n, C, H, W) stack of n target draws, in stream order."""
         raise NotImplementedError
 
+    def in_basis(self, fmap: OrthogonalMap) -> ScoreModel | None:
+        """The same model in fmap's basis, or None if the model has no such form.
+
+        The returned model's score at y = fmap.forward(x) is
+        fmap.forward(self.score(x, sigma)), computed without a transform, so
+        a sampler may run a chain on y and map only its final state back.
+        The default is None: a model gives this form only where it is as
+        cheap as its own, such as a score that is diagonal in every
+        orthonormal basis.
+        """
+        return None
+
 
 @dataclass
 class GaussianScore(ScoreModel):
@@ -95,6 +108,13 @@ class GaussianScore(ScoreModel):
     def sample_targets(self, src, n):
         # One (n,)+shape draw equals n successive draws bit for bit.
         return self.mu + self.s0 * src.normal((n,) + np.shape(self.mu))
+
+    def in_basis(self, fmap):
+        # An isotropic Gaussian is isotropic in every orthonormal basis: only
+        # its mean moves. A subclass may change the score, so it gets None.
+        if type(self) is not GaussianScore:
+            return None
+        return GaussianScore(fmap.forward(self.mu), self.s0)
 
 
 @dataclass

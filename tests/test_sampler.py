@@ -1,11 +1,13 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from tdas.core import NoiseSource
+from tdas import sampler
+from tdas.core import NoiseSource, block_slices
 from tdas.filters import (
     DCT,
     DFT,
@@ -24,7 +26,7 @@ from tdas.sampler import (
 )
 from tdas.scores import EmpiricalScore, GaussianScore, ScoreModel, geometric_levels
 from tdas.synthdata import LOW_FREQ_BLOBS, SynthSpec, generate
-from tdas.transforms import Dct2Map
+from tdas.transforms import Dct2Map, dct2
 
 
 def make_cfg(**kw):
@@ -131,18 +133,46 @@ class TestLoops:
     def test_finite_entries_whose_sum_overflows_are_not_a_divergence(self):
         # With eps = 2 the drift moves every entry to 1e308 in one step, and
         # 1e308 absorbs the noise, so each state's entries are finite while
-        # their sum is not (numpy's overflow warning is silenced).
+        # their sum is not; the check's sum warns of no overflow.
         class ToHuge(ScoreModel):
             def score(self, x, sigma):
                 return 1e308 - x
 
         shape = (1, 4, 4)
         cfg = make_cfg(levels=geometric_levels(1.0, 1.0, 1, 5), eps0=2.0)
-        with np.errstate(over="ignore"):
-            for out in (vanilla_sample(ToHuge(), cfg, NoiseSource(0), shape),
-                        sample_batch(ToHuge(), cfg, 42, 3, shape=shape)):
-                assert np.all(out == 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = (vanilla_sample(ToHuge(), cfg, NoiseSource(0), shape),
+                    sample_batch(ToHuge(), cfg, 42, 3, shape=shape))
+        for out in outs:
+            assert np.all(out == 1e308)
+            with np.errstate(over="ignore"):
                 assert not math.isfinite(out.sum())
+
+    def test_infinities_of_both_signs_are_a_divergence_without_a_warning(self):
+        # inf - inf in the check's sum is NaN, which numpy reports as invalid.
+        class Opposed(ScoreModel):
+            def score(self, x, sigma):
+                s = np.zeros_like(x)
+                s[..., 0, 0], s[..., 0, 1] = np.inf, -np.inf
+                return s
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                sample_batch(Opposed(), make_cfg(), 42, 2, shape=(1, 4, 4))
+        assert (exc.value.step, exc.value.level, exc.value.chains) == (0, 0, (0, 1))
+
+    def test_overflow_inside_a_score_still_warns(self):
+        # The score overflows on the way to a finite result, so only numpy's
+        # warning can show it: the loop must not silence the model.
+        class Damped(ScoreModel):
+            def score(self, x, sigma):
+                return -x - 1.0 / np.exp(np.full_like(x, 1e3))
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = vanilla_sample(Damped(), make_cfg(), NoiseSource(0), (1, 4, 4))
+        assert np.all(np.isfinite(out))
 
     def test_filtered_noise_changes_output(self):
         model = GaussianScore(np.zeros((1, 8, 8)), 1.0)
@@ -200,6 +230,106 @@ class TestFreqDomainLoop:
                                observe=traj.append)
         assert len(traj) == make_cfg().total_steps + 1
         assert np.array_equal(fmap.inverse(traj[-1]), x)
+
+
+class _DctDraws:
+    """A NoiseSource stand-in whose draws are dct2 of a real stream's draws."""
+
+    def __init__(self, src):
+        self._src = src
+
+    @classmethod
+    def for_worker(cls, master_seed, worker):
+        return cls(NoiseSource.for_worker(master_seed, worker))
+
+    def normal(self, shape=None, out=None):
+        out = self._src.normal(shape, out)
+        out[...] = dct2(out)
+        return out
+
+
+class _ScoreOnly(ScoreModel):
+    """A model's score alone, which has no DCT-basis form."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def score(self, x, sigma):
+        return self.model.score(x, sigma)
+
+
+def _count_apply_tdas(monkeypatch):
+    """Record, per apply_tdas call the sampler makes, whether it bypassed the masks."""
+    calls, real = [], sampler.apply_tdas
+
+    def counting(z, *args, **kwargs):
+        out = real(z, *args, **kwargs)
+        calls.append(out is z)
+        return out
+
+    monkeypatch.setattr(sampler, "apply_tdas", counting)
+    return calls
+
+
+class TestDctBasisRoute:
+    # A frequency-only DCT mask and a GaussianScore run the chain on y = D[x],
+    # each raw draw z multiplied by the mask. Fed D[z], that is the apply_tdas
+    # run of z mapped to the DCT basis, so the two agree to round-off. The
+    # shapes span the single-chain noise block's bounds, as above.
+    @pytest.mark.parametrize("shape, levels", [((1, 4, 4), (5, 4)), ((3, 12, 9), (5, 50)),
+                                               ((1, 260, 260), (2, 2))])
+    def test_equals_the_apply_tdas_route_fed_the_same_noise(self, shape, levels, monkeypatch):
+        model = GaussianScore(np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape), 0.8)
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, *levels))
+        space = identity_space_mask(shape)
+        freq = build_freq_mask(FreqFilterParams(0.9, 0.6, 0.2, 0.35), shape)
+        pixel = sample_batch(_ScoreOnly(model), cfg, 42, 3, freq=freq, shape=shape)
+        batch = sample_batch(model, cfg, 42, 3, freq=freq, shape=shape)
+        for i in range(3):
+            single = langevin_sample(model, cfg, _DctDraws.for_worker(42, i), space, freq)
+            np.testing.assert_allclose(single, pixel[i], rtol=0, atol=1e-12)
+            # On real draws a batch row is its single chain bit for bit.
+            assert np.array_equal(
+                batch[i], langevin_sample(model, cfg, NoiseSource.for_worker(42, i), space, freq))
+        monkeypatch.setattr(sampler, "NoiseSource", _DctDraws)
+        np.testing.assert_allclose(sample_batch(model, cfg, 42, 3, freq=freq, shape=shape), pixel,
+                                   rtol=0, atol=1e-12)
+
+    # Every run but the first regulates its noise with apply_tdas, one call a
+    # refill: T + 1 for a batch, one a block of steps for a single chain.
+    @pytest.mark.parametrize("case", ["dct-route", "dft", "space", "empirical", "score-only",
+                                      "all-ones"])
+    @pytest.mark.parametrize("entry", ["single", "batch"])
+    def test_route_selection(self, case, entry, monkeypatch):
+        shape = (1, 8, 8)
+        transform = DFT if case == "dft" else DCT
+        cfg = make_cfg(transform=transform)
+        model = GaussianScore(np.full(shape, 0.3), 0.9)
+        if case == "empirical":
+            model = EmpiricalScore(generate(SynthSpec(LOW_FREQ_BLOBS, 20, shape, seed=9)))
+        elif case == "score-only":
+            model = _ScoreOnly(model)
+        space = identity_space_mask(shape)
+        if case == "space":
+            space = SpaceFilter(np.linspace(0.4, 1.0, math.prod(shape)).reshape(shape))
+        freq = build_freq_mask(FreqFilterParams(0.9, 0.6, 0.2, 0.35, transform=transform), shape)
+        if case == "all-ones":
+            freq = np.ones(shape)
+        calls = _count_apply_tdas(monkeypatch)
+        if entry == "single":
+            out = langevin_sample(model, cfg, NoiseSource(7), space, freq)
+            refills = len(list(block_slices(cfg.total_steps + 1, 8 * math.prod(shape))))
+        else:
+            out = sample_batch(model, cfg, 7, 3, space=space, freq=freq)
+            refills = cfg.total_steps + 1
+        assert len(calls) == (0 if case == "dct-route" else refills)
+        # All-ones masks are bypassed and give the unfiltered run bit for bit.
+        assert calls == [case == "all-ones"] * len(calls)
+        if entry == "single":
+            plain = vanilla_sample(model, cfg, NoiseSource(7), shape)
+        else:
+            plain = sample_batch(model, cfg, 7, 3, shape=shape)
+        assert np.array_equal(out, plain) == (case == "all-ones")
 
 
 class TestSampleBatch:

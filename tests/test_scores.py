@@ -13,6 +13,7 @@ from tdas.scores import (
     _row_logsumexp,
     geometric_levels,
 )
+from tdas.transforms import Dct2Map, PermutationMap
 
 TINY = np.finfo(np.float64).tiny
 
@@ -54,6 +55,26 @@ class TestGaussianScore:
         draws = m.sample_targets(src, 4000)
         assert abs(draws.mean() - 2.0) < 0.02
         assert abs(draws.std() - 0.5) < 0.02
+
+
+class TestInBasis:
+    @pytest.mark.parametrize("fmap", [Dct2Map(), PermutationMap((2, 5, 6), seed=3)],
+                             ids=["dct", "permutation"])
+    def test_gaussian_score_is_the_conjugated_score(self, fmap, rng):
+        m = GaussianScore(rng.standard_normal((2, 5, 6)), s0=0.8)
+        mapped = m.in_basis(fmap)
+        x = rng.standard_normal((3, 2, 5, 6)) * 2.0
+        for sigma in (0.0, 0.4, 3.0):
+            np.testing.assert_allclose(mapped.score(fmap.forward(x), sigma),
+                                       fmap.forward(m.score(x, sigma)), rtol=0, atol=1e-12)
+
+    def test_models_without_the_form_give_none(self, small_dataset):
+        class Shifted(GaussianScore):
+            def score(self, x, sigma=0.0):
+                return super().score(x, sigma) + 1.0
+
+        for m in (EmpiricalScore(small_dataset), Shifted(np.zeros((1, 8, 8)), 1.0), _ScoreOnly()):
+            assert m.in_basis(Dct2Map()) is None
 
 
 class _ScoreOnly(ScoreModel):

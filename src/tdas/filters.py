@@ -181,7 +181,12 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
     x, flat_out = x.reshape(items), out.reshape(items)
     for rows in block_slices(len(x), 8 * math.prod(x.shape[1:])):
         half = rdft2(x[rows])
-        half *= freq[..., : width // 2 + 1]
+        # The real and imaginary parts times the real mask, each in place:
+        # the product of the complex half would cast the mask to complex
+        # through numpy's ufunc buffer, np.getbufsize() complex128s a call.
+        mask = freq[..., : width // 2 + 1]
+        half.real *= mask
+        half.imag *= mask
         # numpy's irfft2 as its two passes, so both can write into buffers
         # we own. Not scipy's inverse: scipy scales by 1/(HW) once where
         # numpy scales by 1/H and then 1/W, which moves the last bits when H

@@ -10,12 +10,13 @@ chain's block holds as many steps as fit in core.BLOCK_BYTES, filled by one
 generator call; sample_batch's holds one step, filled a row per chain, and
 takes each step's drift before the step's noise is drawn over it.
 
-A filtered run whose mask is a frequency-only DCT mask, and whose model has
-a DCT-basis form (ScoreModel.in_basis, as GaussianScore does), runs the same
-loop in the DCT basis: D^-1[M * D[z]] there is M * D[z], and D[z] is again
-standard normal, so each raw draw is multiplied by the mask and no transform
-runs per step; the final state is mapped back once. The chains have the law
-of the pixel-basis run but not its draws.
+A filtered run whose mask is frequency-only, and whose model has a form in
+the mask's basis (ScoreModel.in_basis, as GaussianScore does), runs the same
+loop in that basis: the DCT basis for a DCT mask, the Hartley basis (dht2)
+for a conjugate-symmetric DFT mask. There D^-1[M * D[z]] is M * D[z], and
+D[z] is again standard normal, so each raw draw is multiplied by the mask
+and no transform runs per step; the final state is mapped back once. The
+chains have the law of the pixel-basis run but not its draws.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseSource, block_slices
-from .filters import DCT, DFT, SpaceFilter, apply_tdas, identity_space_mask
+from .filters import (DCT, DFT, SpaceFilter, _conjugate_symmetric, apply_tdas,
+                      identity_space_mask)
 from .scores import NoiseLevels, _is_count
-from .transforms import Dct2Map, OrthogonalMap, idct2
+from .transforms import Dct2Map, HartleyMap, OrthogonalMap, dht2, idct2
 
 
 class DivergenceError(Exception):
@@ -93,7 +95,7 @@ def _noise(draw, block, count, regulate):
     array the run draws its noise into, whose leading axis is the step.
 
     Each refill draws into a leading slice of block (draw(part)), regulates
-    the slice once (apply_tdas, the DCT-basis mask product, the identity, or
+    the slice once (apply_tdas, the mask-basis product, the identity, or
     freq_domain_sample's map forward) and hands out its rows. The loop takes a row only after it is
     done with the one before, so a refill overwrites nothing still in use.
     One block for the whole run, rather than one a refill, keeps large
@@ -120,7 +122,7 @@ def _anneal(score, cfg: SamplerConfig, noise, observe=None):
     of the first and step t takes the row after. score(x, sigma) is
     evaluated in the state's basis, which the loop does not know:
     freq_domain_sample hands in a conjugated score and noise mapped forward,
-    and a DCT-basis run the model's in_basis score and masked raw draws.
+    and a mask-basis run the model's in_basis score and masked raw draws.
     observe(state) sees a copy of the initial state and of the state after
     every step, so an observer may keep what it is given.
 
@@ -169,7 +171,7 @@ def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, regulate=_same):
 
 
 def _mask_rows(part, freq):
-    """The DCT-basis regulation: each (C, H, W) row of a noise block times
+    """The mask-basis regulation: each (C, H, W) row of a noise block times
     freq, in place. Row by row, because a product broadcast over planes
     smaller than numpy's ufunc buffer takes that 64-KiB buffer."""
     for row in part.reshape((-1,) + np.shape(freq)):
@@ -181,15 +183,19 @@ def _filtered(model, cfg: SamplerConfig, space: SpaceFilter, freq):
     """(model, regulate, finish) of a filtered run: the model whose score the
     loop takes, the noise regulation and the map of the final state.
 
-    The run steps in the DCT basis when cfg.transform is the DCT, the space
-    mask is the identity, freq has the space mask's shape and is not all
-    ones (which apply_tdas would bypass) and the model has a DCT-basis form.
-    Every other run regulates in the pixel basis with apply_tdas.
+    The run steps in the mask's basis, the DCT basis for a DCT mask and the
+    Hartley basis for a DFT mask, when the space mask is the identity, freq
+    has its shape and is not all ones (which apply_tdas would bypass), a DFT
+    mask is conjugate-symmetric (the one kind apply_tdas takes, and the kind
+    that is diagonal in the Hartley basis) and the model has a form in that
+    basis. Every other run regulates in the pixel basis with apply_tdas.
     """
-    if (cfg.transform == DCT and space.is_identity and np.shape(freq) == space.mask.shape
+    fmap, back = (Dct2Map(), idct2) if cfg.transform == DCT else (HartleyMap(), dht2)
+    if (space.is_identity and np.shape(freq) == space.mask.shape
             and not np.all(np.asarray(freq) == 1.0)
-            and (in_dct := model.in_basis(Dct2Map())) is not None):
-        return in_dct, lambda z: _mask_rows(z, freq), lambda y: idct2(y, overwrite=True)
+            and (cfg.transform == DCT or _conjugate_symmetric(np.asarray(freq)))
+            and (in_basis := model.in_basis(fmap)) is not None):
+        return in_basis, lambda z: _mask_rows(z, freq), lambda y: back(y, overwrite=True)
     return model, lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True), _same
 
 
@@ -200,9 +206,9 @@ def langevin_sample(model, cfg: SamplerConfig, src: NoiseSource, space: SpaceFil
                     freq: np.ndarray):
     """Filtered annealed Langevin chain: init and every noise pass through the masks.
 
-    With a frequency-only DCT mask and a model that has a DCT-basis form the
-    chain runs in the DCT basis (see the module docstring): its draws differ
-    from the pixel-basis run's, its law does not.
+    With a frequency-only mask and a model that has a form in the mask's
+    basis the chain runs in that basis, DCT or Hartley (see the module
+    docstring): its draws differ from the pixel-basis run's, its law does not.
     """
     model, regulate, finish = _filtered(model, cfg, space, freq)
     return finish(_anneal(model.score, cfg, _chain_noise(src, space.mask.shape, cfg, regulate)))
@@ -245,8 +251,8 @@ def sample_batch(model, cfg: SamplerConfig, master_seed: int, n_chains: int,
     score calls into their rows). A BLAS score_batch, such as
     EmpiricalScore's, can round a row differently for another batch size (a
     one-row product takes another BLAS path), so its chains agree across
-    batch sizes only to round-off. A frequency-only DCT mask with a model
-    that has a DCT-basis form runs the stack in the DCT basis, as
+    batch sizes only to round-off. A frequency-only mask with a model that
+    has a form in the mask's basis runs the stack in that basis, as
     langevin_sample does. Returns an (n_chains, C, H, W) stack.
     """
     if not _is_count(n_chains) or n_chains < 1:

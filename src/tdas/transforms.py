@@ -10,7 +10,8 @@ Which library runs which transform:
 - scipy.fft: the DCTs, and rdft2, the half spectrum of a real image. scipy's
   rfft2 runs its real-to-complex and complex passes in one call into one
   output array, where numpy's runs them as two calls with an array each, and
-  its result equals numpy's bit for bit.
+  its result equals numpy's bit for bit. dht2, the Hartley transform, is
+  formed from rdft2's half spectrum.
 - numpy.fft: the inverse of the half spectrum, dft2 and idft2_real. The
   inverse, in filters.apply_tdas, is numpy's irfft2 run as its own two
   passes, ifft over H and then irfft over W, each with out= so they can
@@ -26,6 +27,8 @@ the k = 0 output coefficient, so the transform matrix is orthogonal and the
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.fft
@@ -89,6 +92,42 @@ def rdft2(t: np.ndarray) -> np.ndarray:
     return scipy.fft.rfft2(np.asarray(t, dtype=np.float64), axes=(-2, -1))
 
 
+def dht2(t: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Orthonormal 2D discrete Hartley transform over the last two axes.
+
+    H[t] = Re X - Im X for X the orthonormal 2D DFT of t. It is real,
+    orthogonal and its own inverse, and for a real mask M with
+    M[h, w] == M[-h, -w] it takes the DFT filter F^-1[M * F[t]] to M * H[t].
+    Each (H, W) plane is formed from its rdft2 half spectrum, the columns
+    w > W//2 from the mirrored half, X[h, w] = conj X[-h mod H, W - w], so
+    beside the result only one plane's half spectrum is held. With
+    overwrite, the result of a C-contiguous float64 t is written into t's
+    memory.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    out = t if overwrite and t.flags.c_contiguous else np.empty(t.shape)
+    height, width = t.shape[-2:]
+    split = width // 2 + 1
+    mirror = slice(width - split, 0, -1)  # the half's columns W - w for w = split .. W-1
+    scale = 1.0 / math.sqrt(height * width)
+    for plane, dest in zip(t.reshape((-1, height, width)), out.reshape((-1, height, width))):
+        half = rdft2(plane)
+        half *= scale
+        # Re - Im and Re + Im formed in the half itself, then copied out:
+        # an arithmetic ufunc between its views and dest's would not merge
+        # into one loop and would take numpy's ufunc buffer.
+        re, im = half.real, half.imag
+        re -= im
+        im *= 2.0
+        im += re
+        dest[:, :split] = re
+        # Row -h mod H is row 0 for h = 0 and row H - h after it.
+        dest[:1, split:] = im[:1, mirror]
+        dest[1:, split:] = im[:0:-1, mirror]
+        del half, re, im  # so the next plane's half is not formed beside this one
+    return out
+
+
 def dft2_naive(t: np.ndarray) -> np.ndarray:
     """Double-sum 2D DFT per channel; O((HW)^2)."""
     t = np.asarray(t, dtype=np.float64)
@@ -117,6 +156,16 @@ class Dct2Map(OrthogonalMap):
 
     def inverse(self, t):
         return idct2(t)
+
+
+class HartleyMap(OrthogonalMap):
+    """The 2D Hartley transform, its own inverse (see dht2)."""
+
+    def forward(self, t):
+        return dht2(t)
+
+    def inverse(self, t):
+        return dht2(t)
 
 
 class PermutationMap(OrthogonalMap):

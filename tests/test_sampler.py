@@ -26,7 +26,7 @@ from tdas.sampler import (
 )
 from tdas.scores import EmpiricalScore, GaussianScore, ScoreModel, geometric_levels
 from tdas.synthdata import LOW_FREQ_BLOBS, SynthSpec, generate
-from tdas.transforms import Dct2Map, dct2
+from tdas.transforms import Dct2Map, dct2, dht2
 
 
 def make_cfg(**kw):
@@ -235,6 +235,8 @@ class TestFreqDomainLoop:
 class _DctDraws:
     """A NoiseSource stand-in whose draws are dct2 of a real stream's draws."""
 
+    transform = staticmethod(dct2)
+
     def __init__(self, src):
         self._src = src
 
@@ -244,12 +246,18 @@ class _DctDraws:
 
     def normal(self, shape=None, out=None):
         out = self._src.normal(shape, out)
-        out[...] = dct2(out)
+        out[...] = self.transform(out)
         return out
 
 
+class _HartleyDraws(_DctDraws):
+    """A NoiseSource stand-in whose draws are dht2 of a real stream's draws."""
+
+    transform = staticmethod(dht2)
+
+
 class _ScoreOnly(ScoreModel):
-    """A model's score alone, which has no DCT-basis form."""
+    """A model's score alone, which has no form in another basis."""
 
     def __init__(self, model):
         self.model = model
@@ -271,38 +279,42 @@ def _count_apply_tdas(monkeypatch):
     return calls
 
 
-class TestDctBasisRoute:
-    # A frequency-only DCT mask and a GaussianScore run the chain on y = D[x],
-    # each raw draw z multiplied by the mask. Fed D[z], that is the apply_tdas
-    # run of z mapped to the DCT basis, so the two agree to round-off. The
-    # shapes span the single-chain noise block's bounds, as above.
+class TestBasisRoute:
+    # A frequency-only mask and a GaussianScore run the chain on y = D[x], D
+    # the DCT for a DCT mask and the Hartley transform for a DFT mask, each
+    # raw draw z multiplied by the mask. Fed D[z], that is the apply_tdas run
+    # of z mapped to that basis, so the two agree to round-off. The shapes
+    # span the single-chain noise block's bounds, as above.
     @pytest.mark.parametrize("shape, levels", [((1, 4, 4), (5, 4)), ((3, 12, 9), (5, 50)),
                                                ((1, 260, 260), (2, 2))])
-    def test_equals_the_apply_tdas_route_fed_the_same_noise(self, shape, levels, monkeypatch):
+    @pytest.mark.parametrize("transform, draws", [(DCT, _DctDraws), (DFT, _HartleyDraws)])
+    def test_equals_the_apply_tdas_route_fed_the_same_noise(self, shape, levels, transform, draws,
+                                                            monkeypatch):
         model = GaussianScore(np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape), 0.8)
-        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, *levels))
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, *levels), transform=transform)
         space = identity_space_mask(shape)
-        freq = build_freq_mask(FreqFilterParams(0.9, 0.6, 0.2, 0.35), shape)
+        freq = build_freq_mask(FreqFilterParams(0.9, 0.6, 0.2, 0.35, transform=transform), shape)
         pixel = sample_batch(_ScoreOnly(model), cfg, 42, 3, freq=freq, shape=shape)
         batch = sample_batch(model, cfg, 42, 3, freq=freq, shape=shape)
         for i in range(3):
-            single = langevin_sample(model, cfg, _DctDraws.for_worker(42, i), space, freq)
+            single = langevin_sample(model, cfg, draws.for_worker(42, i), space, freq)
             np.testing.assert_allclose(single, pixel[i], rtol=0, atol=1e-12)
             # On real draws a batch row is its single chain bit for bit.
             assert np.array_equal(
                 batch[i], langevin_sample(model, cfg, NoiseSource.for_worker(42, i), space, freq))
-        monkeypatch.setattr(sampler, "NoiseSource", _DctDraws)
+        monkeypatch.setattr(sampler, "NoiseSource", draws)
         np.testing.assert_allclose(sample_batch(model, cfg, 42, 3, freq=freq, shape=shape), pixel,
                                    rtol=0, atol=1e-12)
 
-    # Every run but the first regulates its noise with apply_tdas, one call a
-    # refill: T + 1 for a batch, one a block of steps for a single chain.
-    @pytest.mark.parametrize("case", ["dct-route", "dft", "space", "empirical", "score-only",
+    # Every run but the mask-basis ones regulates its noise with apply_tdas,
+    # one call a refill: T + 1 for a batch, one a block of steps for a single
+    # chain.
+    @pytest.mark.parametrize("case", ["dct-route", "dft-route", "space", "empirical", "score-only",
                                       "all-ones"])
     @pytest.mark.parametrize("entry", ["single", "batch"])
     def test_route_selection(self, case, entry, monkeypatch):
         shape = (1, 8, 8)
-        transform = DFT if case == "dft" else DCT
+        transform = DFT if case == "dft-route" else DCT
         cfg = make_cfg(transform=transform)
         model = GaussianScore(np.full(shape, 0.3), 0.9)
         if case == "empirical":
@@ -322,7 +334,7 @@ class TestDctBasisRoute:
         else:
             out = sample_batch(model, cfg, 7, 3, space=space, freq=freq)
             refills = cfg.total_steps + 1
-        assert len(calls) == (0 if case == "dct-route" else refills)
+        assert len(calls) == (0 if case.endswith("-route") else refills)
         # All-ones masks are bypassed and give the unfiltered run bit for bit.
         assert calls == [case == "all-ones"] * len(calls)
         if entry == "single":
@@ -330,6 +342,20 @@ class TestDctBasisRoute:
         else:
             plain = sample_batch(model, cfg, 7, 3, shape=shape)
         assert np.array_equal(out, plain) == (case == "all-ones")
+
+    @pytest.mark.parametrize("entry", ["single", "batch"])
+    def test_asymmetric_dft_mask_is_refused(self, entry):
+        # A DFT mask that is not conjugate-symmetric is diagonal in no real
+        # basis; it reaches apply_tdas, which refuses it.
+        shape = (1, 8, 8)
+        cfg = make_cfg(transform=DFT)
+        model = GaussianScore(np.full(shape, 0.3), 0.9)
+        freq = np.linspace(0.2, 1.0, math.prod(shape)).reshape(shape)
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            if entry == "single":
+                langevin_sample(model, cfg, NoiseSource(7), identity_space_mask(shape), freq)
+            else:
+                sample_batch(model, cfg, 7, 3, freq=freq, shape=shape)
 
 
 class TestSampleBatch:
@@ -404,19 +430,22 @@ class TestSampleBatch:
         agreeing = sample_batch(model, make_cfg(), 0, 2, space=space, shape=[1, 4, 4])
         assert np.array_equal(agreeing, sample_batch(model, make_cfg(), 0, 2, space=space))
 
-    def test_run_holds_state_block_and_drift(self):
+    @pytest.mark.parametrize("transform", [DCT, DFT])
+    def test_run_holds_state_block_and_drift(self, transform):
         # A state-sized array of eight 64² chains is 256 KiB. Besides the
         # state and the scratch block that holds first the drift and then
-        # the noise, the run may hold two chains' worth (a chain's score and
-        # the chains' generators) and numpy's ufunc buffer of
-        # np.getbufsize() float64s, which apply_tdas's broadcast mask product
-        # takes at this size. A noise block apart from the drift buffer, a
-        # drift allocated each step, or per-chain scores gathered in a list
-        # and stacked come to at least a third array.
+        # the noise, the run may hold two chains' worth and numpy's ufunc
+        # buffer of np.getbufsize() float64s. The mask-basis run (DCT, or
+        # Hartley for the DFT mask) holds the mean in that basis and a
+        # chain's score, then one plane's half spectrum while the Hartley
+        # run's final state goes back; the chains' generators are a few KB
+        # each. A noise block apart from the drift buffer, a drift allocated
+        # each step, per-chain scores gathered in a list and stacked, or a
+        # map back of the whole stack at once come to at least a third array.
         shape, n = (1, 64, 64), 8
         model = GaussianScore(np.zeros(shape), 1.0)
-        freq = build_freq_mask(FreqFilterParams(0.9, 0.8, 0.3, 0.45, transform=DCT), shape)
-        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 2, 3))
+        freq = build_freq_mask(FreqFilterParams(0.9, 0.8, 0.3, 0.45, transform=transform), shape)
+        cfg = make_cfg(levels=geometric_levels(1.0, 0.1, 2, 3), transform=transform)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

@@ -15,6 +15,10 @@ from .transforms import dct2, idct2, rdft2
 
 DCT = "dct"
 DFT = "dft"
+# The transform of a z that is already in the basis where the mask is
+# diagonal (the DCT basis of a DCT mask, the Hartley basis of a
+# conjugate-symmetric DFT mask): the regulation is the product M * z.
+BASIS = "basis"
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,10 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
     be conjugate-symmetric, M[h, w] == M[-h, -w], as every radial mask is: the
     output is then real and comes from the half-spectrum transforms, taken
     over one core.block_slices block of (C, H, W) items at a time, so the
-    half spectrum held at once is one block's, not the whole stack's.
+    half spectrum held at once is one block's, not the whole stack's. With
+    transform BASIS, z is in the mask's basis and each (C, H, W) item is
+    multiplied by freq, with no transform; a space mask, which is not
+    diagonal there, is refused.
 
     overwrite has scipy.fft's overwrite_x meaning: z's contents may be
     destroyed, and the result of a C-contiguous float64 z is a view of z's
@@ -156,10 +163,12 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         )
     if space.is_identity and np.all(np.asarray(freq) == 1.0):
         return z
-    if transform not in (DCT, DFT):
+    if transform not in (DCT, DFT, BASIS):
         raise ValueError(f"unknown transform {transform!r}")
     if transform == DFT and not _conjugate_symmetric(freq):
         raise ValueError("DFT mask is not conjugate-symmetric, M[h, w] != M[-h, -w]")
+    if transform == BASIS and not space.is_identity:
+        raise ValueError("a space mask is not diagonal in the spectral mask's basis")
     # x is the buffer the rest may destroy: a view of a C-contiguous float64
     # z (so the result is not z itself), or the fresh product of the space
     # mask. Other dtypes go through a float64 copy, as in scipy, and other
@@ -169,6 +178,14 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
     if not space.is_identity:
         x = np.multiply(space.mask, x, out=x if owned else None)
         owned = True
+    if transform == BASIS:
+        out = x if owned else np.empty(x.shape)
+        # Item by item, because a product broadcast over planes smaller than
+        # numpy's ufunc buffer takes that 64-KiB buffer.
+        items = (-1,) + x.shape[-3:]
+        for item, out_item in zip(x.reshape(items), out.reshape(items)):
+            np.multiply(item, freq, out=out_item)
+        return out
     if transform == DCT:
         spectrum = dct2(x, owned)
         spectrum *= freq

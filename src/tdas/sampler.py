@@ -14,9 +14,10 @@ A filtered run whose mask is frequency-only, and whose model has a form in
 the mask's basis (ScoreModel.in_basis, as GaussianScore does), runs the same
 loop in that basis: the DCT basis for a DCT mask, the Hartley basis (dht2)
 for a conjugate-symmetric DFT mask. There D^-1[M * D[z]] is M * D[z], and
-D[z] is again standard normal, so each raw draw is multiplied by the mask
-and no transform runs per step; the final state is mapped back once. The
-chains have the law of the pixel-basis run but not its draws.
+D[z] is again standard normal, so apply_tdas, given transform BASIS,
+multiplies each raw draw by the mask and no transform runs per step; the
+final state is mapped back once. The chains have the law of the
+pixel-basis run but not its draws.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseSource, block_slices
-from .filters import (DCT, DFT, SpaceFilter, _conjugate_symmetric, apply_tdas,
+from .filters import (BASIS, DCT, DFT, SpaceFilter, _conjugate_symmetric, apply_tdas,
                       identity_space_mask)
 from .scores import NoiseLevels, _is_count
 from .transforms import Dct2Map, HartleyMap, OrthogonalMap, dht2, idct2
@@ -95,8 +96,8 @@ def _noise(draw, block, count, regulate):
     array the run draws its noise into, whose leading axis is the step.
 
     Each refill draws into a leading slice of block (draw(part)), regulates
-    the slice once (apply_tdas, the mask-basis product, the identity, or
-    freq_domain_sample's map forward) and hands out its rows. The loop takes a row only after it is
+    the slice once (apply_tdas, the identity, or freq_domain_sample's map
+    forward) and hands out its rows. The loop takes a row only after it is
     done with the one before, so a refill overwrites nothing still in use.
     One block for the whole run, rather than one a refill, keeps large
     blocks from being freed and faulted in again (a 1024² chain refills
@@ -170,15 +171,6 @@ def _chain_noise(src: NoiseSource, shape, cfg: SamplerConfig, regulate=_same):
     return _noise(lambda part: src.normal(out=part), block, count, regulate)
 
 
-def _mask_rows(part, freq):
-    """The mask-basis regulation: each (C, H, W) row of a noise block times
-    freq, in place. Row by row, because a product broadcast over planes
-    smaller than numpy's ufunc buffer takes that 64-KiB buffer."""
-    for row in part.reshape((-1,) + np.shape(freq)):
-        row *= freq
-    return part
-
-
 def _filtered(model, cfg: SamplerConfig, space: SpaceFilter, freq):
     """(model, regulate, finish) of a filtered run: the model whose score the
     loop takes, the noise regulation and the map of the final state.
@@ -188,15 +180,17 @@ def _filtered(model, cfg: SamplerConfig, space: SpaceFilter, freq):
     has its shape and is not all ones (which apply_tdas would bypass), a DFT
     mask is conjugate-symmetric (the one kind apply_tdas takes, and the kind
     that is diagonal in the Hartley basis) and the model has a form in that
-    basis. Every other run regulates in the pixel basis with apply_tdas.
+    basis. Every other run regulates in the pixel basis. Both regulate with
+    apply_tdas, the mask-basis run with transform BASIS (the mask product).
     """
     fmap, back = (Dct2Map(), idct2) if cfg.transform == DCT else (HartleyMap(), dht2)
+    transform, finish = cfg.transform, _same
     if (space.is_identity and np.shape(freq) == space.mask.shape
             and not np.all(np.asarray(freq) == 1.0)
             and (cfg.transform == DCT or _conjugate_symmetric(np.asarray(freq)))
             and (in_basis := model.in_basis(fmap)) is not None):
-        return in_basis, lambda z: _mask_rows(z, freq), lambda y: back(y, overwrite=True)
-    return model, lambda z: apply_tdas(z, space, freq, cfg.transform, overwrite=True), _same
+        model, transform, finish = in_basis, BASIS, lambda y: back(y, overwrite=True)
+    return model, lambda z: apply_tdas(z, space, freq, transform, overwrite=True), finish
 
 
 # The entry points below are thin calls into _anneal and never call each other,

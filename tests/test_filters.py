@@ -6,6 +6,7 @@ import pytest
 
 from tdas.core import DegenerateDatasetError, ImageDataset
 from tdas.filters import (
+    BASIS,
     DCT,
     DFT,
     FreqFilterParams,
@@ -16,7 +17,7 @@ from tdas.filters import (
     identity_space_mask,
     radial_distance_grid,
 )
-from tdas.transforms import dct2, dft2, idct2, idft2_real
+from tdas.transforms import dct2, dft2, dht2, idct2, idft2_real
 
 
 class TestFreqFilterParams:
@@ -256,6 +257,42 @@ class TestApplyTdas:
         assert np.shares_memory(out, z)
         half = 16 * shape[-2] * (shape[-1] // 2 + 1)
         assert peak <= half + 8 * np.getbufsize() + 4096
+
+    # In the mask's basis the regulation is the product with the mask, item
+    # by item: in place with overwrite, into a fresh array otherwise, and
+    # out of a strided z's own layout.
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (2, 3, 12, 9), (1, 4, 1, 16, 16)])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_basis_is_the_mask_product(self, shape, overwrite, strided, rng):
+        z = rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2] if strided \
+            else rng.standard_normal(shape)
+        freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4), shape[-3:])
+        given = z.copy()
+        out = apply_tdas(z, identity_space_mask(shape[-3:]), freq, BASIS, overwrite=overwrite)
+        assert np.array_equal(out, given * freq)
+        assert out is not z
+        if overwrite and not strided:
+            assert np.shares_memory(out, z)
+        else:
+            assert np.array_equal(z, given)
+
+    @pytest.mark.parametrize("transform, forward, inverse", [(DCT, dct2, idct2), (DFT, dht2, dht2)])
+    def test_basis_conjugates_the_pixel_regulation(self, transform, forward, inverse, rng):
+        # D^-1[M * D[z]], D the DCT or the Hartley transform, is the pixel
+        # regulation of z.
+        z = rng.standard_normal((2, 1, 12, 9))
+        identity = identity_space_mask(z.shape[1:])
+        freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=transform),
+                               z.shape[1:])
+        np.testing.assert_allclose(inverse(apply_tdas(forward(z), identity, freq, BASIS)),
+                                   apply_tdas(z, identity, freq, transform), rtol=0, atol=1e-12)
+
+    def test_basis_refuses_a_space_mask(self, rng):
+        z = rng.standard_normal((1, 8, 8))
+        space = SpaceFilter(rng.uniform(0.4, 1.0, z.shape))
+        with pytest.raises(ValueError, match="space mask"):
+            apply_tdas(z, space, rng.uniform(0.2, 1.0, z.shape), BASIS, overwrite=True)
 
     def test_dft_refuses_asymmetric_mask(self, rng):
         # A real inverse DFT of an asymmetric mask would filter with its

@@ -9,6 +9,7 @@ import pytest
 from tdas import sampler
 from tdas.core import NoiseSource, block_slices
 from tdas.filters import (
+    BASIS,
     DCT,
     DFT,
     FreqFilterParams,
@@ -267,12 +268,13 @@ class _ScoreOnly(ScoreModel):
 
 
 def _count_apply_tdas(monkeypatch):
-    """Record, per apply_tdas call the sampler makes, whether it bypassed the masks."""
+    """Record, per apply_tdas call the sampler makes, whether it bypassed the
+    masks and the transform it was given."""
     calls, real = [], sampler.apply_tdas
 
-    def counting(z, *args, **kwargs):
-        out = real(z, *args, **kwargs)
-        calls.append(out is z)
+    def counting(z, space, freq, transform=DCT, overwrite=False):
+        out = real(z, space, freq, transform, overwrite)
+        calls.append((out is z, transform))
         return out
 
     monkeypatch.setattr(sampler, "apply_tdas", counting)
@@ -306,9 +308,9 @@ class TestBasisRoute:
         np.testing.assert_allclose(sample_batch(model, cfg, 42, 3, freq=freq, shape=shape), pixel,
                                    rtol=0, atol=1e-12)
 
-    # Every run but the mask-basis ones regulates its noise with apply_tdas,
-    # one call a refill: T + 1 for a batch, one a block of steps for a single
-    # chain.
+    # Every run regulates its noise with apply_tdas, one call a refill: T + 1
+    # for a batch, one a block of steps for a single chain. The mask-basis
+    # runs pass transform BASIS, the others the configured transform.
     @pytest.mark.parametrize("case", ["dct-route", "dft-route", "space", "empirical", "score-only",
                                       "all-ones"])
     @pytest.mark.parametrize("entry", ["single", "batch"])
@@ -334,9 +336,9 @@ class TestBasisRoute:
         else:
             out = sample_batch(model, cfg, 7, 3, space=space, freq=freq)
             refills = cfg.total_steps + 1
-        assert len(calls) == (0 if case.endswith("-route") else refills)
         # All-ones masks are bypassed and give the unfiltered run bit for bit.
-        assert calls == [case == "all-ones"] * len(calls)
+        assert calls == [(case == "all-ones",
+                          BASIS if case.endswith("-route") else transform)] * refills
         if entry == "single":
             plain = vanilla_sample(model, cfg, NoiseSource(7), shape)
         else:

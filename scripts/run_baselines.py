@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment suite once and freeze the resulting
-margins into baselines/acceptance_margins.json.
+margins into baselines/acceptance_margins.json. Each experiment's results are
+printed, then its wall time on a line of its own; only the suite's total,
+wall_seconds, goes into the file.
 
 With --check the suite is rerun and compared with the frozen file instead:
 every frozen value but wall_seconds is printed as old, new and relative
@@ -38,26 +40,27 @@ from tdas.experiments import (
 )
 
 
+EXPERIMENTS = (
+    ("acceleration", "acceleration experiment (structured data)", run_acceleration_experiment),
+    ("negative_control", "negative control (unstructured data)", run_negative_control),
+    ("calibration_trend", "calibration trend across iteration counts", run_calibration_trend),
+)
+
+
 def run_suite():
+    """Run each experiment, printing its results and then its wall time (which
+    includes any reference run it is the first to need); the returned dict
+    is what gets frozen."""
     t0 = time.perf_counter()
-    print("acceleration experiment (structured data) ...", flush=True)
-    accel = run_acceleration_experiment()
-    print(json.dumps(accel, indent=2))
-
-    print("negative control (unstructured data) ...", flush=True)
-    control = run_negative_control()
-    print(json.dumps(control, indent=2))
-
-    print("calibration trend across iteration counts ...", flush=True)
-    trend = run_calibration_trend()
-    print(json.dumps(trend, indent=2))
-
-    return {
-        "acceleration": accel,
-        "negative_control": control,
-        "calibration_trend": trend,
-        "wall_seconds": time.perf_counter() - t0,
-    }
+    results = {}
+    for key, label, run in EXPERIMENTS:
+        print(f"{label} ...", flush=True)
+        start = time.perf_counter()
+        results[key] = run()
+        print(json.dumps(results[key], indent=2))
+        print(f"{key} took {time.perf_counter() - start:.1f}s", flush=True)
+    results["wall_seconds"] = time.perf_counter() - t0
+    return results
 
 
 def leaves(tree, path=""):

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .calib import (
@@ -38,7 +39,7 @@ from .core import (
 from .filters import DCT, FreqFilterParams, SpaceFilter, build_freq_mask, identity_space_mask
 from .sampler import SamplerConfig, sample_batch
 from .scores import EmpiricalScore, GaussianScore, geometric_levels
-from .synthdata import SynthSpec, generate, radial_power_profile, KINDS
+from .synthdata import UNSTRUCTURED, SynthSpec, generate, radial_power_profile, KINDS
 from .transforms import PermutationMap
 from .validate import check_theorem1, check_theorem2, sliced_wasserstein, spectral_deviation
 from .experiments import filter_overhead_bench
@@ -98,6 +99,14 @@ def _exit_on_error(command):
     return run
 
 
+def _refuse_given(names, context: str):
+    """Raise naming the first of names given on the command line; a default passes."""
+    ctx = click.get_current_context()
+    for p in ctx.command.params:
+        if p.name in names and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE:
+            raise ValueError(f"{p.opts[0]} does not apply to {context}")
+
+
 def _derive_seed(master: int, label: str) -> int:
     # Stable per-purpose child seeds from one master seed.
     import zlib
@@ -122,6 +131,8 @@ def main():
 @_exit_on_error
 def cmd_make_data(out_dir, kind, count, shape, decay, seed):
     """Generate a synthetic dataset into OUT_DIR."""
+    if kind == UNSTRUCTURED:
+        _refuse_given({"decay"}, f"--kind {UNSTRUCTURED}")
     spec = SynthSpec(kind, count, tuple(shape), decay, seed)
     mw = ManifestWriter("make-data", {"kind": kind, "count": count, "shape": list(shape),
                                       "decay": decay}, seed)
@@ -289,6 +300,11 @@ def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
     """Run a numerical harness and emit a JSON report; exit 2 on failure."""
     if mode is None:
         _fail("choose one of --theorem1, --theorem2, --metrics")
+    _refuse_given({  # the options this mode ignores
+        "theorem1": {"eps", "n_mc", "regime", "samples_dir", "reference_dir", "transform"},
+        "theorem2": {"steps", "map_kind", "samples_dir", "reference_dir", "transform"},
+        "metrics": {"steps", "shape", "map_kind", "eps", "n_mc", "regime"},
+    }[mode], f"--{mode}")
     shape = tuple(shape)
     if mode == "theorem1":
         if steps < 1 or steps % 5 != 0:

@@ -105,22 +105,20 @@ def run_negative_control() -> dict:
 
     On white-noise data the ratio grid is flat, so the radius scan typically
     finds no quantile crossing; calibration then declines to suppress anything
-    and the run proceeds with the identity filter.
+    and the vanilla run, sampled without a mask, is the filtered run too.
     """
     model, reference = _reference(UNSTRUCTURED_SPEC)
     vanilla = generate_samples(model, FAST_STEPS, master_seed=2000)
     try:
-        params = calibrate_from_sets(vanilla, reference, DCT, SGM)
-        freq = build_freq_mask(params, SHAPE)
-        calibration_failed = False
+        freq = build_freq_mask(calibrate_from_sets(vanilla, reference, DCT, SGM), SHAPE)
     except CalibrationError:
         freq = None
-        calibration_failed = True
-    filtered = generate_samples(model, FAST_STEPS, master_seed=2000, freq=freq)
+    filtered = (vanilla if freq is None
+                else generate_samples(model, FAST_STEPS, master_seed=2000, freq=freq))
     sw_van = sliced_wasserstein(vanilla, reference, 64, seed=7)
     sw_tdas = sliced_wasserstein(filtered, reference, 64, seed=7)
     return {
-        "calibration_failed": calibration_failed,
+        "calibration_failed": freq is None,
         "sliced_wasserstein_vanilla": sw_van,
         "sliced_wasserstein_tdas": sw_tdas,
         "sw_change": abs(sw_van - sw_tdas),
@@ -184,11 +182,10 @@ def filter_overhead_bench(sizes=(256, 512, 1024), repeats: int = 10) -> list[dic
     ]
 
 
-def load_baselines(path=BASELINE_PATH) -> dict:
-    return json.loads(Path(path).read_text())
+def load_baselines() -> dict:
+    return json.loads(BASELINE_PATH.read_text())
 
 
-def write_baselines(results: dict, path=BASELINE_PATH) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(results, indent=2) + "\n")
+def write_baselines(results: dict) -> None:
+    BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
+    BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")

@@ -1,9 +1,9 @@
 """Orthonormal DCT-II / DFT transforms with brute-force reference versions.
 
 Fast paths delegate to scipy.fft / numpy.fft, which handle arbitrary
-(including odd) lengths via mixed-radix and Bluestein plans. The ``*_naive``
-functions implement the O(d^2) definitions directly and exist as independent
-oracles; tests compare the two routes.
+(including odd) lengths via mixed-radix and Bluestein plans. dct_matrix and
+dft2_naive implement the O(d^2) definitions directly as independent oracles:
+tests compare dct2 and idct2 with dct_matrix products, the DFTs with dft2_naive.
 
 Which library runs which transform:
 
@@ -21,9 +21,9 @@ Which library runs which transform:
   of two, and scipy's fft2 and ifft2 differ from numpy's on many small
   shapes. Keeping these on numpy keeps every recorded value in place.
 
-The 1D DCT is the orthonormal type-II variant: the 1/sqrt(2) weight sits on
-the k = 0 output coefficient, so the transform matrix is orthogonal and the
-2D transform preserves the L2 norm.
+The DCT is the orthonormal type-II variant along each axis: the 1/sqrt(2)
+weight sits on the k = 0 output coefficient, so dct_matrix is orthogonal and
+the 2D transform preserves the L2 norm.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ import math
 
 import numpy as np
 import scipy.fft
-
-
-def dct1(v: np.ndarray) -> np.ndarray:
-    """Orthonormal 1D DCT-II of a length-d real vector."""
-    return scipy.fft.dct(np.asarray(v, dtype=np.float64), type=2, norm="ortho")
-
-
-def idct1(v: np.ndarray) -> np.ndarray:
-    """Inverse (= transpose) of dct1."""
-    return scipy.fft.idct(np.asarray(v, dtype=np.float64), type=2, norm="ortho")
-
-
-def dct1_naive(v: np.ndarray) -> np.ndarray:
-    """O(d^2) matrix-product DCT-II, straight from the definition."""
-    v = np.asarray(v, dtype=np.float64)
-    return dct_matrix(v.shape[-1]) @ v
 
 
 def dct_matrix(d: int) -> np.ndarray:

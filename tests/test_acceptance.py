@@ -2,6 +2,10 @@
 the desk-scale acceleration experiment against frozen baselines, and the
 negative control. Each test prints a single pass/fail line.
 
+Criterion 1 checks the transforms that sampling and calibration run against
+their O(d^2) definitions: dct2 and idct2 against products of dct_matrix, and
+dft2, rdft2 and dht2 against dft2_naive, each gap named in its line.
+
 Baselines in baselines/acceptance_margins.json come from scripts/run_baselines.py
 and act as regression thresholds; regenerate them only deliberately.
 """
@@ -23,13 +27,14 @@ from tdas.sampler import SamplerConfig, langevin_sample, vanilla_sample
 from tdas.scores import GaussianScore, geometric_levels
 from tdas.transforms import (
     PermutationMap,
-    dct1,
-    dct1_naive,
     dct2,
+    dct_matrix,
     dft2,
     dft2_naive,
+    dht2,
     idct2,
     idft2_real,
+    rdft2,
 )
 from tdas.validate import check_theorem1, check_theorem2
 
@@ -54,17 +59,27 @@ def test_criterion_01_transform_correctness():
     big = rng.standard_normal((3, 256, 256))
     rt_dct = float(np.max(np.abs(idct2(dct2(big)) - big)))
     rt_dft = float(np.max(np.abs(idft2_real(dft2(big)) - big)))
-    oracle_gap = 0.0
-    for d in range(1, 33):
-        v = rng.standard_normal(d)
-        oracle_gap = max(oracle_gap, float(np.max(np.abs(dct1(v) - dct1_naive(v)))))
+    # Each fast transform the sampler or the calibration runs, against the
+    # O(d^2) definitions: the DCT matrix on both axes, and the double-sum DFT.
+    gaps = dict.fromkeys(("dct2", "idct2", "dft2", "rdft2", "dht2"), 0.0)
     for h in (1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32):
         for w in (1, 3, 4, 5, 8, 13, 17, 29, 32):
             t = rng.standard_normal((1, h, w))
-            oracle_gap = max(oracle_gap, float(np.max(np.abs(dft2(t) - dft2_naive(t)))))
-    ok = rt_dct <= 1e-10 and rt_dft <= 1e-10 and oracle_gap <= 1e-9
+            mh, mw = dct_matrix(h), dct_matrix(w)
+            full = dft2_naive(t)
+            pairs = {
+                "dct2": (dct2(t), mh @ t @ mw.T),
+                "idct2": (idct2(t), mh.T @ t @ mw),
+                "dft2": (dft2(t), full),
+                "rdft2": (rdft2(t), full[..., : w // 2 + 1]),
+                "dht2": (dht2(t), (full.real - full.imag) / np.sqrt(h * w)),
+            }
+            for name, (fast, oracle) in pairs.items():
+                gaps[name] = max(gaps[name], float(np.max(np.abs(fast - oracle))))
+    ok = rt_dct <= 1e-10 and rt_dft <= 1e-10 and max(gaps.values()) <= 1e-9
     report(1, "transform correctness", ok,
-           f"roundtrip dct={rt_dct:.2e} dft={rt_dft:.2e}, oracle gap={oracle_gap:.2e}")
+           f"roundtrip dct={rt_dct:.2e} dft={rt_dft:.2e}, oracle gaps "
+           + " ".join(f"{name}={gap:.2e}" for name, gap in gaps.items()) + " (<=1e-9)")
 
 
 def test_criterion_02_trajectory_equivalence():

@@ -51,6 +51,17 @@ class TestMakeData:
         res = invoke("make-data", str(tmp_path / "x"), "--kind", "bogus")
         assert res.exit_code != 0
 
+    def test_decay_is_refused_for_unstructured_data(self, tmp_path):
+        # Unstructured data has no spectral decay, so the option was dropped
+        # without a word; left at its default it still passes.
+        out = tmp_path / "u"
+        res = invoke("make-data", str(out), "--kind", "unstructured", "--decay", "1.5")
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--decay" in lines[0]
+        assert not out.exists()
+        assert len(load_dataset(make_data(tmp_path, kind="unstructured"))) == 10
+
 
 class TestSample:
     def test_vanilla_run_produces_outputs(self, tmp_path):
@@ -243,6 +254,22 @@ class TestValidate:
         assert res.exit_code == 1
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "eps" in lines[0]
+
+    @pytest.mark.parametrize("args, option", [
+        (("--theorem2", "--n-mc", "200", "--steps", "7"), "--steps"),
+        (("--theorem2", "--map", "permutation"), "--map"),
+        (("--theorem2", "--samples", "s"), "--samples"),
+        (("--metrics", "--eps", "0.1"), "--eps"),
+        (("--metrics", "--shape", "1", "4", "4"), "--shape"),
+        (("--theorem1", "--transform", "dft"), "--transform"),
+        (("--theorem1", "--regime", "aligned"), "--regime"),
+    ])
+    def test_options_the_mode_ignores_are_refused(self, args, option):
+        # Each used to be dropped without a word.
+        res = invoke("validate", *args)
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and option in lines[0]
 
     def test_metrics_needs_dirs(self):
         res = invoke("validate", "--metrics")

@@ -1,17 +1,19 @@
 """Command-line frontend: dataset generation, sampling, calibration, stats,
 validation harnesses, and benchmarks. make-data, sample, calibrate and stats
-write a reproducibility manifest, run_manifest.json.
+write a reproducibility manifest, run_manifest.json. `tdas validate HARNESS`
+runs one harness: theorem1, theorem2 or metrics.
 
-Exit codes: 0 success, 1 usage or runtime error (single-line message on
-stderr), 2 validation failure.
+Exit codes, the same for every command: 0 success (--help and --version
+included), 1 usage or runtime error, 2 a failed validation or calibration.
+An error is one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import click
@@ -29,14 +31,13 @@ from .calib import (
 )
 from .core import (
     ImageDataset,
-    NoiseSource,
     export_image,
     load_dataset,
     load_tensor,
     save_dataset,
     save_tensor,
 )
-from .filters import DCT, FreqFilterParams, SpaceFilter, build_freq_mask, identity_space_mask
+from .filters import DCT, FreqFilterParams, SpaceFilter, build_freq_mask
 from .sampler import SamplerConfig, sample_batch
 from .scores import EmpiricalScore, GaussianScore, geometric_levels
 from .synthdata import UNSTRUCTURED, SynthSpec, generate, radial_power_profile, KINDS
@@ -72,31 +73,32 @@ class ManifestWriter:
         self.manifest["wall_times"]["total"] = time.perf_counter() - self._t0
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        path = directory / "run_manifest.json"
-        path.write_text(json.dumps(self.manifest, indent=2) + "\n")
-        return path
+        (directory / "run_manifest.json").write_text(json.dumps(self.manifest, indent=2) + "\n")
 
 
 def _fail(message: str, code: int = 1):
-    click.echo(f"error: {message}", err=True)
+    # One line, even where click lists a choice's values a line each.
+    click.echo("error: " + " ".join(message.split()), err=True)
     sys.exit(code)
 
 
-def _exit_on_error(command):
-    """Every command's error boundary: one `error:` line on stderr, then exit 2 for
-    a CalibrationError and 1 for any other exception. Click's usage errors arise
-    before the command runs and sys.exit is no Exception, so both pass through."""
+class _Tdas(click.Group):
+    """Every command's error boundary: with click's own handling off, a usage
+    error exits 1 like any other error and a CalibrationError exits 2, each with
+    one `error:` line. A harness's sys.exit(2) is no Exception and passes through."""
 
-    @functools.wraps(command)
-    def run(*args, **kwargs):
+    def main(self, *args, **kwargs):
         try:
-            return command(*args, **kwargs)
+            code = super().main(*args, standalone_mode=False, **kwargs)
         except CalibrationError as e:
             _fail(f"calibration failed: {e}", EXIT_VALIDATION_FAILURE)
+        except click.ClickException as e:
+            _fail(e.format_message())
+        except click.Abort:  # Ctrl-C, or end of input at a prompt
+            _fail("aborted")
         except Exception as e:  # noqa: BLE001
             _fail(str(e))
-
-    return run
+        sys.exit(code)
 
 
 def _refuse_given(names, context: str):
@@ -109,12 +111,10 @@ def _refuse_given(names, context: str):
 
 def _derive_seed(master: int, label: str) -> int:
     # Stable per-purpose child seeds from one master seed.
-    import zlib
-
     return int(np.random.SeedSequence([master, zlib.crc32(label.encode())]).generate_state(1)[0])
 
 
-@click.group()
+@click.group(cls=_Tdas, no_args_is_help=False)
 @click.version_option(__version__)
 def main():
     """Spectral diffusion-sampling toolkit."""
@@ -128,7 +128,6 @@ def main():
 @click.option("--decay", type=float, default=2.0, show_default=True,
               help="Spectral power decay exponent for structured kinds.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@_exit_on_error
 def cmd_make_data(out_dir, kind, count, shape, decay, seed):
     """Generate a synthetic dataset into OUT_DIR."""
     if kind == UNSTRUCTURED:
@@ -178,7 +177,6 @@ def _config_int(value, name: str) -> int:
 @click.option("--iterations", type=int, default=None, help="Override total iterations.")
 @click.option("--accel", type=float, default=None, help="Override the step-size multiplier.")
 @click.option("--seed", type=int, default=None)
-@_exit_on_error
 def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
     """Run a batch of sampling chains described by RUN_CONFIG (JSON; flags win)."""
     cfg = _load_run_config(run_config, {"accel_factor": accel, "seed": seed})
@@ -236,7 +234,6 @@ def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
 @click.option("--out", "out_path", type=click.Path(), default="freq_params.json", show_default=True)
 @click.option("--curve", "curve_path", type=click.Path(), default=None,
               help="Optional CSV of (r, kappa) pairs.")
-@_exit_on_error
 def cmd_calibrate(reference_dir, generated_dir, direction, transform, out_path, curve_path):
     """Estimate frequency-filter parameters from generated vs reference samples."""
     mw = ManifestWriter("calibrate", {"reference": reference_dir, "generated": generated_dir,
@@ -261,7 +258,6 @@ def cmd_calibrate(reference_dir, generated_dir, direction, transform, out_path, 
 @click.option("--out", "out_path", type=click.Path(), default="freq_stats.tdt", show_default=True)
 @click.option("--profile", "profile_path", type=click.Path(), default=None,
               help="Optional CSV radial power profile.")
-@_exit_on_error
 def cmd_stats(samples_dir, transform, out_path, profile_path):
     """Emit the average spectral power grid of a sample directory."""
     mw = ManifestWriter("stats", {"samples": samples_dir, "transform": transform}, None)
@@ -278,9 +274,7 @@ def cmd_stats(samples_dir, transform, out_path, profile_path):
 
 
 @main.command("validate")
-@click.option("--theorem1", "mode", flag_value="theorem1")
-@click.option("--theorem2", "mode", flag_value="theorem2")
-@click.option("--metrics", "mode", flag_value="metrics")
+@click.argument("harness", type=click.Choice(["theorem1", "theorem2", "metrics"]))
 @click.option("--steps", type=int, default=100, show_default=True)
 @click.option("--shape", nargs=3, type=int, default=(1, 16, 16), show_default=True)
 @click.option("--map", "map_kind", type=click.Choice(["dct", "permutation"]), default="dct",
@@ -294,19 +288,16 @@ def cmd_stats(samples_dir, transform, out_path, profile_path):
 @click.option("--transform", type=click.Choice(["dct", "dft"]), default="dct", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@_exit_on_error
-def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
+def cmd_validate(harness, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
                  reference_dir, transform, seed, report_path):
-    """Run a numerical harness and emit a JSON report; exit 2 on failure."""
-    if mode is None:
-        _fail("choose one of --theorem1, --theorem2, --metrics")
-    _refuse_given({  # the options this mode ignores
+    """Run HARNESS and emit its JSON report; exit 2 on failure."""
+    _refuse_given({  # the options this harness ignores
         "theorem1": {"eps", "n_mc", "regime", "samples_dir", "reference_dir", "transform"},
         "theorem2": {"steps", "map_kind", "samples_dir", "reference_dir", "transform"},
         "metrics": {"steps", "shape", "map_kind", "eps", "n_mc", "regime"},
-    }[mode], f"--{mode}")
+    }[harness], harness)
     shape = tuple(shape)
-    if mode == "theorem1":
+    if harness == "theorem1":
         if steps < 1 or steps % 5 != 0:
             raise ValueError("--steps must be a positive multiple of the ladder's 5 levels")
         model = GaussianScore(np.zeros(shape), 1.0)
@@ -315,7 +306,7 @@ def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
         deviation = check_theorem1(model, cfg, seed, steps, shape, fmap=fmap)
         report = {"harness": "trajectory-equivalence", "max_deviation": deviation,
                   "tolerance": 1e-6, "passed": deviation <= 1e-6}
-    elif mode == "theorem2":
+    elif harness == "theorem2":
         model = GaussianScore(np.zeros(shape), 1.0)
         gen = {
             "independent": lambda xs, src: src.normal(shape),
@@ -327,7 +318,7 @@ def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
         report.update(harness="deviation-decomposition", regime=regime, passed=rep.consistent())
     else:
         if not samples_dir or not reference_dir:
-            _fail("--metrics needs --samples and --reference")
+            raise ValueError("metrics needs --samples and --reference")
         a = load_dataset(samples_dir)
         b = load_dataset(reference_dir)
         report = {
@@ -349,7 +340,6 @@ def cmd_validate(mode, steps, shape, map_kind, eps, n_mc, regime, samples_dir,
               help="Grid sizes to time, e.g. --filter-overhead 256 --filter-overhead 1024.")
 @click.option("--repeats", type=int, default=10, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="filter_overhead.csv", show_default=True)
-@_exit_on_error
 def cmd_bench(sizes, repeats, out_path):
     """Time the filtered-noise application across grid sizes; emit CSV."""
     rows = filter_overhead_bench(sizes, repeats)

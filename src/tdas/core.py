@@ -7,8 +7,9 @@ shape (C, H, W). Masks, noises, scores, and images all share this carrier.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,17 @@ class ImageDataset:
         return np.mean(np.abs(self.items), axis=0)
 
 
+def _is_count(n) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _seed(seed) -> int:
+    if not _is_count(seed):  # int() would truncate 2.7 to 2 and take True for 1
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
 class NoiseSource:
     """Seeded standard-normal stream.
 
@@ -76,13 +88,13 @@ class NoiseSource:
     """
 
     def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.PCG64(int(seed)))
+        self._gen = np.random.Generator(np.random.PCG64(_seed(seed)))
 
     @classmethod
     def for_worker(cls, master_seed: int, worker: int) -> "NoiseSource":
         # One independent child stream per worker, stable under scheduling: the
         # same child as SeedSequence(master_seed).spawn(worker + 1)[worker].
-        child = np.random.SeedSequence(master_seed, spawn_key=(worker,))
+        child = np.random.SeedSequence(_seed(master_seed), spawn_key=(worker,))
         src = cls.__new__(cls)
         src._gen = np.random.Generator(np.random.PCG64(child))
         return src

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSource, block_slices
+from .core import NoiseSource, _is_count, block_slices
 from .filters import (BASIS, DCT, DFT, SpaceFilter, _conjugate_symmetric, apply_tdas,
                       identity_space_mask)
-from .scores import NoiseLevels, _is_count
+from .scores import NoiseLevels
 from .transforms import Dct2Map, HartleyMap, OrthogonalMap, dht2, idct2
 
 

@@ -7,13 +7,12 @@ between sampling schemes is attributable to the scheme itself.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import ImageDataset, NoiseSource
+from .core import ImageDataset, NoiseSource, _is_count
 from .transforms import OrthogonalMap
 
 _TINY = np.finfo(np.float64).tiny
@@ -192,11 +191,6 @@ class EmpiricalScore(ScoreModel):
 
     def sample_targets(self, src, n):
         return self.ds.items[[src.integers(0, len(self.ds)) for _ in range(n)]]
-
-
-def _is_count(n) -> bool:
-    """An integer that is not a bool (numpy integers count)."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)

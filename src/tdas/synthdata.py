@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImageDataset, NoiseSource, block_slices
+from .core import ImageDataset, NoiseSource, _seed, block_slices
 from .transforms import idct2
 
 LOW_FREQ_BLOBS = "low_freq_blobs"
@@ -36,6 +36,7 @@ class SynthSpec:
             raise ValueError("shape must be (C, H, W)")
         if not 0 < self.spectral_decay < math.inf:
             raise ValueError("spectral_decay must be positive and finite")
+        _seed(self.seed)  # raises for a bool or a seed that is not an integer
 
 
 def _decay_magnitude(height, width, p):

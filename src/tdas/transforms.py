@@ -13,13 +13,13 @@ Which library runs which transform:
   its result equals numpy's bit for bit. dht2, the Hartley transform, is
   formed from rdft2's half spectrum.
 - numpy.fft: the inverse of the half spectrum, dft2 and idft2_real. The
-  inverse, in filters.apply_tdas, is numpy's irfft2 run as its own two
-  passes, ifft over H and then irfft over W, each with out= so they can
-  write into buffers the caller gives up; they equal np.fft.irfft2 bit for
-  bit. scipy's irfft2 scales by 1/(HW) once where numpy scales by 1/H and
-  then by 1/W, so the two differ in the last bits whenever H is not a power
-  of two, and scipy's fft2 and ifft2 differ from numpy's on many small
-  shapes. Keeping these on numpy keeps every recorded value in place.
+  inverse, in filters.apply_tdas's pixel-basis DFT, is numpy's irfft2 run as
+  its own two passes, ifft over H and then irfft over W. Each takes out=, so
+  they write into buffers the caller gives up, and together they equal
+  np.fft.irfft2 bit for bit, as tests/test_filters.py pins. scipy's irfft2
+  scales by 1/(HW) once where numpy scales by 1/H and then by 1/W, so it
+  differs in the last bits whenever H is not a power of two, and scipy's
+  fft2 and ifft2 differ from numpy's on many small shapes.
 
 The DCT is the orthonormal type-II variant along each axis: the 1/sqrt(2)
 weight sits on the k = 0 output coefficient, so dct_matrix is orthogonal and

@@ -226,7 +226,7 @@ class TestCalibrateStatsBench:
 
 class TestValidate:
     def test_theorem1_passes(self, tmp_path):
-        res = invoke("validate", "--theorem1", "--steps", "20", "--shape", "1", "8", "8")
+        res = invoke("validate", "theorem1", "--steps", "20", "--shape", "1", "8", "8")
         assert res.exit_code == 0, res.output
         report = json.loads(res.output)
         assert report["passed"] and report["max_deviation"] <= 1e-6
@@ -235,14 +235,14 @@ class TestValidate:
     def test_theorem1_steps_must_fill_the_ladder(self, steps):
         # The ladder has 5 levels; 0 or -4 steps checked only the initial
         # state, and 7 silently checked 5.
-        res = invoke("validate", "--theorem1", "--steps", steps, "--shape", "1", "4", "4")
+        res = invoke("validate", "theorem1", "--steps", steps, "--shape", "1", "4", "4")
         assert res.exit_code == 1
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "--steps" in lines[0]
 
     def test_theorem2_report_file(self, tmp_path):
         path = tmp_path / "r.json"
-        res = invoke("validate", "--theorem2", "--n-mc", "200", "--report", str(path))
+        res = invoke("validate", "theorem2", "--n-mc", "200", "--report", str(path))
         assert res.exit_code == 0, res.output
         assert json.loads(path.read_text())["passed"]
 
@@ -250,19 +250,19 @@ class TestValidate:
     def test_theorem2_eps_must_be_positive_and_finite(self, eps):
         # A bad option, not a failed validation (exit 2): a NaN or infinite
         # eps would make every term NaN, which JSON cannot carry.
-        res = invoke("validate", "--theorem2", "--n-mc", "200", "--eps", eps)
+        res = invoke("validate", "theorem2", "--n-mc", "200", "--eps", eps)
         assert res.exit_code == 1
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "eps" in lines[0]
 
     @pytest.mark.parametrize("args, option", [
-        (("--theorem2", "--n-mc", "200", "--steps", "7"), "--steps"),
-        (("--theorem2", "--map", "permutation"), "--map"),
-        (("--theorem2", "--samples", "s"), "--samples"),
-        (("--metrics", "--eps", "0.1"), "--eps"),
-        (("--metrics", "--shape", "1", "4", "4"), "--shape"),
-        (("--theorem1", "--transform", "dft"), "--transform"),
-        (("--theorem1", "--regime", "aligned"), "--regime"),
+        (("theorem2", "--n-mc", "200", "--steps", "7"), "--steps"),
+        (("theorem2", "--map", "permutation"), "--map"),
+        (("theorem2", "--samples", "s"), "--samples"),
+        (("metrics", "--eps", "0.1"), "--eps"),
+        (("metrics", "--shape", "1", "4", "4"), "--shape"),
+        (("theorem1", "--transform", "dft"), "--transform"),
+        (("theorem1", "--regime", "aligned"), "--regime"),
     ])
     def test_options_the_mode_ignores_are_refused(self, args, option):
         # Each used to be dropped without a word.
@@ -272,8 +272,46 @@ class TestValidate:
         assert len(lines) == 1 and lines[0].startswith("error:") and option in lines[0]
 
     def test_metrics_needs_dirs(self):
-        res = invoke("validate", "--metrics")
+        res = invoke("validate", "metrics")
         assert res.exit_code == 1
 
     def test_no_mode_is_error(self):
         assert invoke("validate").exit_code == 1
+
+
+class TestErrorBoundary:
+    COMMANDS = ["make-data", "sample", "calibrate", "stats", "validate", "bench"]
+
+    @pytest.mark.parametrize("args, needle", [
+        *[((cmd, "--bogus"), "--bogus") for cmd in COMMANDS],
+        (("make-data", "x", "--kind", "nope"), "--kind"),
+        (("make-data", "x", "--kind", "unstructured", "--count", "ten"), "--count"),
+        (("calibrate", ".", ".", "--direction", "up"), "--direction"),
+        (("stats", ".", "--transform", "fft"), "--transform"),
+        (("validate", "theorem3"), "theorem3"),
+        (("validate", "theorem1", "--steps", "ten"), "--steps"),
+        (("bench", "--filter-overhead", "big"), "--filter-overhead"),
+        (("make-data",), "OUT_DIR"),
+        (("sample",), "RUN_CONFIG"),
+        (("calibrate", "."), "GENERATED_DIR"),
+        (("stats",), "SAMPLES_DIR"),
+        (("validate",), "theorem1"),
+        (("bench",), "--filter-overhead"),
+        (("bogus",), "bogus"),
+        ((), "command"),
+        (("validate", "theorem1", "theorem2"), "theorem2"),
+    ])
+    def test_usage_error_exits_one_with_one_line(self, args, needle):
+        # Click's own handling exited 2, the code of a failed validation, with
+        # a usage text of several lines.
+        res = invoke(*args)
+        assert res.exit_code == 1
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0]
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [("--help",), ("--version",),
+                                      *[(cmd, "--help") for cmd in COMMANDS]])
+    def test_help_and_version_exit_zero(self, args):
+        res = invoke(*args)
+        assert res.exit_code == 0 and res.stdout and res.stderr == ""

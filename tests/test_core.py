@@ -59,6 +59,19 @@ class TestNoiseSource:
         expected = np.random.Generator(np.random.PCG64(child)).standard_normal((64,))
         assert np.array_equal(NoiseSource.for_worker(master, worker).normal((64,)), expected)
 
+    @pytest.mark.parametrize("seed", [2.7, 2.0, True, np.True_])
+    def test_seed_must_be_an_integer(self, seed):
+        # int() took 2.7 for 2 and True for 1, drawing another seed's stream.
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSource(seed)
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSource.for_worker(seed, 0)
+
+    def test_numpy_integer_seeds_pass(self):
+        assert np.array_equal(NoiseSource(np.int64(7)).normal((4,)), NoiseSource(7).normal((4,)))
+        assert np.array_equal(NoiseSource.for_worker(np.uint32(7), 2).normal((4,)),
+                              NoiseSource.for_worker(7, 2).normal((4,)))
+
     def test_rejects_empty_dims(self):
         with pytest.raises(ValueError):
             NoiseSource(0).normal((0, 4))

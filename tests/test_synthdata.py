@@ -29,6 +29,12 @@ class TestSpec:
             with pytest.raises(ValueError):
                 SynthSpec(LOW_FREQ_BLOBS, 5, (1, 8, 8), spectral_decay=decay)
 
+    @pytest.mark.parametrize("seed", [2.9, True])
+    def test_seed_must_be_an_integer(self, seed):
+        # A seed of 2.9 generated seed 2's set.
+        with pytest.raises(ValueError, match="seed"):
+            SynthSpec(UNSTRUCTURED, 5, (1, 8, 8), seed=seed)
+
 
 class TestGenerate:
     def test_deterministic(self):

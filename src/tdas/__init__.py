@@ -38,7 +38,6 @@ from .calib import (
     RatioGrid,
     calc_freq_params,
     freq_power_stats,
-    kappa,
     kappa_curve,
     quantile,
     ratio_grid,

@@ -151,44 +151,25 @@ def _quantiles(values, alphas):
     return [float(ordered[math.ceil(alpha * values.size - 1e-12) - 1]) for alpha in alphas]
 
 
-def _scan_bins(g: RatioGrid):
-    """Flattened d0 and each cell's index on the scan grid r_k = k / max(H, W):
-    the largest k with d0 >= 2 r_k^2, thresholds built as kappa builds them."""
+def _radial_scan(g: RatioGrid):
+    """Sum and size of the region d0 >= 2 r_k^2 for every scan radius
+    r_k = k / max(H, W) whose region is non-empty, in one pass over the grid.
+
+    Each cell goes to bin k, the largest k with d0 >= 2 r_k^2, and region k
+    is the suffix sum of the bins from k out, added outermost bin first: a
+    total minus a prefix would cancel on the small outer regions.
+    """
     height, width = g.gamma.shape
     d0 = radial_distance_grid(height, width, g.transform).ravel()
     r = np.arange(max(height, width) + 2) * (1.0 / max(height, width))
-    return np.searchsorted(2.0 * r * r, d0, side="right") - 1, d0
-
-
-def _outer_sums(bin_sums):
-    """Suffix sums of per-bin sums, added outermost bin first. A total minus a
-    prefix would cancel on the small outer regions."""
-    return np.cumsum(bin_sums[::-1])[::-1]
-
-
-def kappa(g: RatioGrid, r: float) -> float:
-    """Mean of gamma over cells with normalized d0(h, w) >= 2 r^2.
-
-    The region is summed per scan bin, outermost bin first, so on the scan
-    grid this is kappa_curve's value bit for bit.
-    """
-    bins, d0 = _scan_bins(g)
-    region = d0 >= 2.0 * r * r
-    if not region.any():
-        raise ValueError(f"empty region outside radius r={r}")
-    bin_sums = np.bincount(bins[region], weights=g.gamma.ravel()[region])
-    return float(_outer_sums(bin_sums)[0] / region.sum())
-
-
-def _radial_scan(g: RatioGrid):
-    """Sum and size of the region d0 >= 2 r_k^2 for every scan radius r_k
-    whose region is non-empty, in one pass over the grid."""
-    bins, _ = _scan_bins(g)
-    return _outer_sums(np.bincount(bins, weights=g.gamma.ravel())), _outer_sums(np.bincount(bins))
+    bins = np.searchsorted(2.0 * r * r, d0, side="right") - 1
+    sums, counts = np.bincount(bins, weights=g.gamma.ravel()), np.bincount(bins)
+    return np.cumsum(sums[::-1])[::-1], np.cumsum(counts[::-1])[::-1]
 
 
 def kappa_curve(g: RatioGrid):
-    """(r, kappa(g, r)) on the radial grid r = k / max(H, W), while the region is non-empty."""
+    """(r, kappa(r)) on the radial grid r = k / max(H, W), while the region is
+    non-empty: kappa(r) is the mean of gamma over the cells with d0 >= 2 r^2."""
     step = 1.0 / max(g.gamma.shape)
     sums, counts = _radial_scan(g)
     return [(k * step, value) for k, value in enumerate((sums / counts).tolist())]
@@ -247,9 +228,3 @@ def calc_freq_params(g: RatioGrid, direction: str = SGM, transform: str | None =
     r1 = max(r1, step)
     r2 = max(r2, r1)
     return FreqFilterParams(lambda1=ave / q1, lambda2=ave / q2, r1=r1, r2=r2, transform=g.transform)
-
-
-def write_kappa_csv(curve, path) -> None:
-    lines = ["r,kappa"] + [f"{r:.10g},{k:.10g}" for r, k in curve]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

@@ -27,10 +27,10 @@ from .calib import (
     freq_power_stats,
     kappa_curve,
     ratio_grid,
-    write_kappa_csv,
 )
 from .core import (
     ImageDataset,
+    _is_count,
     export_image,
     load_dataset,
     load_tensor,
@@ -109,6 +109,13 @@ def _refuse_given(names, context: str):
             raise ValueError(f"{p.opts[0]} does not apply to {context}")
 
 
+def _write_csv(path, header: str, rows) -> str:
+    """Write rows of numbers under header, each value formatted .10g; return the text."""
+    text = "\n".join([header] + [",".join(f"{v:.10g}" for v in row) for row in rows]) + "\n"
+    Path(path).write_text(text)
+    return text
+
+
 def _derive_seed(master: int, label: str) -> int:
     # Stable per-purpose child seeds from one master seed.
     return int(np.random.SeedSequence([master, zlib.crc32(label.encode())]).generate_state(1)[0])
@@ -149,23 +156,52 @@ def _build_model(cfg: dict):
     if kind == "gaussian":
         mu = np.full(shape, float(model_cfg.get("mu", 0.0)))
         return GaussianScore(mu, float(model_cfg.get("s0", 1.0)))
-    if kind == "empirical":
-        return EmpiricalScore(load_dataset(model_cfg["dataset"]))
-    raise ValueError(f"unknown model kind {kind!r}")
+    return EmpiricalScore(load_dataset(model_cfg["dataset"]))
+
+
+# The keys cmd_sample reads, (required, optional): at top level, in levels,
+# and in model by its kind.
+_RUN_KEYS = ({"shape", "levels", "model", "eps0", "seed", "out_dir"},
+             {"vanilla", "space_mask", "freq_params", "freq_mask", "accel_factor", "n_samples"})
+_LEVEL_KEYS = ({"levels", "steps_per_level", "sigma_max", "sigma_min"}, set())
+_MODEL_KEYS = {"gaussian": ({"kind"}, {"mu", "s0"}), "empirical": ({"kind", "dataset"}, set())}
+
+
+def _check_keys(section, keys, name: str, path):
+    """Refuse a section of the run config at path that is not a JSON object,
+    lacks a required key or holds a key that is never read."""
+    if not isinstance(section, dict):
+        raise ValueError(f"run config {path}: {name or 'the config'} is not a JSON object")
+    required, optional = keys
+    prefix = name + "." if name else ""
+    for key in sorted(required - section.keys()):
+        raise ValueError(f"run config {path} lacks the key {prefix + key!r}")
+    for key in sorted(section.keys() - required - optional):
+        raise ValueError(f"run config {path} has the key {prefix + key!r}, which is never read")
 
 
 def _load_run_config(path, overrides: dict) -> dict:
+    """The run config at path with each override that is not None set, once
+    its keys are checked against the ones cmd_sample reads."""
     cfg = json.loads(Path(path).read_text())
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    if isinstance(cfg, dict):
+        cfg.update((key, value) for key, value in overrides.items() if value is not None)
+    _check_keys(cfg, _RUN_KEYS, "", path)
+    _check_keys(cfg["levels"], _LEVEL_KEYS, "levels", path)
+    kind = cfg["model"].get("kind") if isinstance(cfg["model"], dict) else None
+    if kind is not None and kind not in tuple(_MODEL_KEYS):  # == only: kind may be a list
+        raise ValueError(f"run config {path}: unknown model kind {kind!r}")
+    _check_keys(cfg["model"], _MODEL_KEYS.get(kind, ({"kind"}, set())), "model", path)
+    if cfg.get("freq_params") and cfg.get("freq_mask"):
+        raise ValueError(f"run config {path} has the key 'freq_mask', which is never read "
+                         "beside 'freq_params'")
     return cfg
 
 
 def _config_int(value, name: str) -> int:
     """A run-config count, which must be a JSON integer: int() would truncate
     2.7 to 2 and take true for 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_count(value):
         raise ValueError(f"run config {name!r} must be an integer, got {value!r}")
     return value
 
@@ -243,7 +279,7 @@ def cmd_calibrate(reference_dir, generated_dir, direction, transform, out_path, 
     g = ratio_grid(freq_power_stats(gen, transform), freq_power_stats(ref, transform))
     mw.phase("stats")
     if curve_path:
-        write_kappa_csv(kappa_curve(g), curve_path)
+        _write_csv(curve_path, "r,kappa", kappa_curve(g))
         mw.output(curve_path)
     params = calc_freq_params(g, direction)
     Path(out_path).write_text(params.to_json() + "\n")
@@ -265,9 +301,7 @@ def cmd_stats(samples_dir, transform, out_path, profile_path):
     save_tensor(stats.power[None], out_path)
     mw.output(out_path)
     if profile_path:
-        radii, power = radial_power_profile(stats.power)
-        lines = ["radius,power"] + [f"{r:.10g},{p:.10g}" for r, p in zip(radii, power)]
-        Path(profile_path).write_text("\n".join(lines) + "\n")
+        _write_csv(profile_path, "radius,power", zip(*radial_power_profile(stats.power)))
         mw.output(profile_path)
     mw.phase("stats")
     mw.write(Path(out_path).parent or ".")
@@ -342,10 +376,8 @@ def cmd_validate(harness, steps, shape, map_kind, eps, n_mc, regime, samples_dir
 @click.option("--out", "out_path", type=click.Path(), default="filter_overhead.csv", show_default=True)
 def cmd_bench(sizes, repeats, out_path):
     """Time the filtered-noise application across grid sizes; emit CSV."""
-    rows = filter_overhead_bench(sizes, repeats)
-    lines = ["size,median_seconds"] + [f"{r['size']},{r['median_seconds']:.10g}" for r in rows]
-    Path(out_path).write_text("\n".join(lines) + "\n")
-    click.echo("\n".join(lines))
+    rows = [(r["size"], r["median_seconds"]) for r in filter_overhead_bench(sizes, repeats)]
+    click.echo(_write_csv(out_path, "size,median_seconds", rows), nl=False)
 
 
 if __name__ == "__main__":

@@ -141,23 +141,25 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
     All-ones masks are returned untouched (bit-identical), so unfiltered
     sampling is literally a special case of the filtered path. Every other
     call returns a new array object, never z itself, so a result that is z
-    tells a caller (or a tracer) that the masks were bypassed. A DFT mask must
-    be conjugate-symmetric, M[h, w] == M[-h, -w], as every radial mask is: the
-    output is then real and comes from the half-spectrum transforms, taken
-    over one core.block_slices block of (C, H, W) items at a time, so the
-    half spectrum held at once is one block's, not the whole stack's. With
-    transform BASIS, z is in the mask's basis and each (C, H, W) item is
-    multiplied by freq, with no transform; a space mask, which is not
+    tells a caller (or a tracer) that the masks were bypassed. freq has the
+    space mask's shape. A DFT mask must be conjugate-symmetric,
+    M[h, w] == M[-h, -w], as every radial mask is: the output is then real
+    and comes from the half-spectrum transforms, taken over one
+    core.block_slices block of (C, H, W) items at a time, so the half
+    spectrum held at once is one block's, not the whole stack's. With
+    transform BASIS, z is in the mask's basis and the regulation is the DCT
+    route's mask product without the transforms; a space mask, which is not
     diagonal there, is refused.
 
     overwrite has scipy.fft's overwrite_x meaning: z's contents may be
     destroyed, and the result of a C-contiguous float64 z is a view of z's
-    memory. Callers that own a fresh block pass True; masks are checked
+    memory. Any other z is copied once into the float64 array the call
+    works in. Callers that own a fresh block pass True; masks are checked
     before z is touched.
 
     Accepts extra leading batch axes on z.
     """
-    if z.shape[-3:] != space.mask.shape or z.shape[-3:] != np.shape(freq)[-3:]:
+    if z.shape[-3:] != space.mask.shape or np.shape(freq) != space.mask.shape:
         raise ValueError(
             f"shape mismatch: z {z.shape}, space {space.mask.shape}, freq {np.shape(freq)}"
         )
@@ -169,46 +171,37 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         raise ValueError("DFT mask is not conjugate-symmetric, M[h, w] != M[-h, -w]")
     if transform == BASIS and not space.is_identity:
         raise ValueError("a space mask is not diagonal in the spectral mask's basis")
-    # x is the buffer the rest may destroy: a view of a C-contiguous float64
-    # z (so the result is not z itself), or the fresh product of the space
-    # mask. Other dtypes go through a float64 copy, as in scipy, and other
-    # layouts through a fresh output.
-    owned = overwrite and z.dtype == np.float64 and z.flags.c_contiguous
-    x = z.view() if owned else z
+    # x is the one buffer every branch writes into: a view of z's memory (so
+    # the result is not z itself), or a C-contiguous float64 copy of z.
+    if overwrite and z.dtype == np.float64 and z.flags.c_contiguous:
+        x = z.view()
+    else:
+        x = np.array(z, dtype=np.float64, order="C")
     if not space.is_identity:
-        x = np.multiply(space.mask, x, out=x if owned else None)
-        owned = True
-    if transform == BASIS:
-        out = x if owned else np.empty(x.shape)
-        # Item by item, because a product broadcast over planes smaller than
-        # numpy's ufunc buffer takes that 64-KiB buffer.
-        items = (-1,) + x.shape[-3:]
-        for item, out_item in zip(x.reshape(items), out.reshape(items)):
-            np.multiply(item, freq, out=out_item)
-        return out
-    if transform == DCT:
-        spectrum = dct2(x, owned)
-        spectrum *= freq
-        return idct2(spectrum, True)
-    width = x.shape[-1]
-    out = x if owned else np.empty(x.shape)
-    # Both reshapes are views, except of a z that is not owned and whose
-    # leading axes do not merge; that one is read from a copy.
-    items = (-1,) + x.shape[-3:]
-    x, flat_out = x.reshape(items), out.reshape(items)
-    for rows in block_slices(len(x), 8 * math.prod(x.shape[1:])):
-        half = rdft2(x[rows])
-        # The real and imaginary parts times the real mask, each in place:
-        # the product of the complex half would cast the mask to complex
-        # through numpy's ufunc buffer, np.getbufsize() complex128s a call.
+        np.multiply(space.mask, x, out=x)
+    items = x.reshape((-1,) + x.shape[-3:])  # a view, as x is C-contiguous
+    if transform == DFT:
+        width = x.shape[-1]
+        # The real and imaginary parts times the real mask, each in place: the
+        # product of the complex half would cast the mask to complex through
+        # numpy's ufunc buffer, np.getbufsize() complex128s a call.
         mask = freq[..., : width // 2 + 1]
-        half.real *= mask
-        half.imag *= mask
-        # numpy's irfft2 as its two passes, so both can write into buffers
-        # we own. Not scipy's inverse: scipy scales by 1/(HW) once where
-        # numpy scales by 1/H and then 1/W, which moves the last bits when H
-        # is not a power of two (see the transforms module docstring).
-        np.fft.ifft(half, axis=-2, out=half)
-        np.fft.irfft(half, n=width, axis=-1, out=flat_out[rows])
-        del half  # so the next block's spectrum is not formed beside it
-    return out
+        for rows in block_slices(len(items), items[0].nbytes):
+            half = rdft2(items[rows])
+            half.real *= mask
+            half.imag *= mask
+            # numpy's irfft2 as its two passes, so both can write into buffers
+            # we own. Not scipy's inverse: scipy scales by 1/(HW) once where
+            # numpy scales by 1/H and then 1/W, which moves the last bits when
+            # H is not a power of two (see the transforms module docstring).
+            np.fft.ifft(half, axis=-2, out=half)
+            np.fft.irfft(half, n=width, axis=-1, out=items[rows])
+            del half  # so the next block's spectrum is not formed beside it
+        return x
+    if transform == DCT:
+        dct2(x, True)  # in place: x is C-contiguous float64
+    # Item by item, because a product broadcast over planes smaller than
+    # numpy's ufunc buffer takes that 64-KiB buffer.
+    for item in items:
+        item *= freq
+    return idct2(x, True) if transform == DCT else x

@@ -177,16 +177,15 @@ def _filtered(model, cfg: SamplerConfig, space: SpaceFilter, freq):
 
     The run steps in the mask's basis, the DCT basis for a DCT mask and the
     Hartley basis for a DFT mask, when the space mask is the identity, freq
-    has its shape and is not all ones (which apply_tdas would bypass), a DFT
-    mask is conjugate-symmetric (the one kind apply_tdas takes, and the kind
-    that is diagonal in the Hartley basis) and the model has a form in that
-    basis. Every other run regulates in the pixel basis. Both regulate with
+    is not all ones (which apply_tdas would bypass), a DFT mask is
+    conjugate-symmetric (the one kind apply_tdas takes, and the kind that is
+    diagonal in the Hartley basis) and the model has a form in that basis.
+    Every other run regulates in the pixel basis. Both regulate with
     apply_tdas, the mask-basis run with transform BASIS (the mask product).
     """
     fmap, back = (Dct2Map(), idct2) if cfg.transform == DCT else (HartleyMap(), dht2)
     transform, finish = cfg.transform, _same
-    if (space.is_identity and np.shape(freq) == space.mask.shape
-            and not np.all(np.asarray(freq) == 1.0)
+    if (space.is_identity and not np.all(np.asarray(freq) == 1.0)
             and (cfg.transform == DCT or _conjugate_symmetric(np.asarray(freq)))
             and (in_basis := model.in_basis(fmap)) is not None):
         model, transform, finish = in_basis, BASIS, lambda y: back(y, overwrite=True)

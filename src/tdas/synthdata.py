@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImageDataset, NoiseSource, _seed, block_slices
+from .core import ImageDataset, NoiseSource, _is_count, _seed, block_slices
 from .transforms import idct2
 
 LOW_FREQ_BLOBS = "low_freq_blobs"
@@ -30,8 +30,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; choose from {KINDS}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        if not _is_count(self.count) or self.count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
         if len(self.shape) != 3:
             raise ValueError("shape must be (C, H, W)")
         if not 0 < self.spectral_decay < math.inf:

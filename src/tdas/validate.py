@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calib import freq_power_stats, ratio_grid
-from .core import ImageDataset, NoiseSource, block_slices
+from .core import ImageDataset, NoiseSource, _is_count, block_slices
 from .filters import DCT
 from .sampler import SamplerConfig, freq_domain_sample, vanilla_sample
 from .transforms import Dct2Map, OrthogonalMap
@@ -27,8 +27,8 @@ def check_theorem1(model, cfg: SamplerConfig, seed: int, steps: int, shape=(1, 1
 
     The conjugation identity is deterministic, so the result is round-off only.
     """
-    if not 1 <= steps <= cfg.total_steps:
-        raise ValueError(f"steps must be in 1..{cfg.total_steps}, got {steps}")
+    if not _is_count(steps) or not 1 <= steps <= cfg.total_steps:
+        raise ValueError(f"steps must be an integer in 1..{cfg.total_steps}, got {steps!r}")
     if fmap is None:
         fmap = Dct2Map()
     space, gaps = [], []

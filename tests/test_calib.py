@@ -16,11 +16,9 @@ from tdas.calib import (
     calc_freq_params,
     calc_lambda_pair,
     freq_power_stats,
-    kappa,
     kappa_curve,
     quantile,
     ratio_grid,
-    write_kappa_csv,
 )
 from tdas.core import ImageDataset
 from tdas.filters import DCT, DFT, radial_distance_grid
@@ -175,9 +173,9 @@ def brute_kappa(g, r):
 
 
 class TestKappa:
-    def test_kappa_zero_is_global_mean(self):
+    def test_curve_starts_at_the_global_mean(self):
         g = synthetic_ratio()
-        assert np.isclose(kappa(g, 0.0), g.gamma.mean())
+        assert np.isclose(kappa_curve(g)[0][1], g.gamma.mean())
 
     def test_kappa_increases_for_rising_profile(self):
         g = synthetic_ratio()
@@ -185,25 +183,16 @@ class TestKappa:
         values = [v for _, v in curve]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_curve_grid_spacing(self):
-        g = synthetic_ratio(16, 16)
-        curve = kappa_curve(g)
-        radii = [r for r, _ in curve]
-        assert radii[0] == 0.0
-        assert np.allclose(np.diff(radii), 1 / 16)
-
     @pytest.mark.parametrize("transform", [DCT, DFT])
     @pytest.mark.parametrize("shape", [(1, 5), (7, 13), (16, 16), (33, 32)])
-    def test_curve_is_kappa_at_each_grid_radius(self, shape, transform):
-        # The scan builds its radial grid once; point for point it must give
-        # exactly what kappa(g, r) gives, and stop where kappa's region empties.
+    def test_curve_radii_are_the_scan_grid(self, shape, transform):
+        # The radii are exactly k / max(H, W), the grid calc_freq_params
+        # reports its radii on.
         rng = np.random.default_rng(11)
         g = RatioGrid(0.1 + rng.gamma(2.0, 1.0, size=shape), transform)
         curve = kappa_curve(g)
         step = 1.0 / max(shape)
-        assert curve == [(k * step, kappa(g, k * step)) for k in range(len(curve))]
-        with pytest.raises(ValueError):
-            kappa(g, len(curve) * step)
+        assert [r for r, _ in curve] == [k * step for k in range(len(curve))]
 
     @pytest.mark.parametrize("transform", [DCT, DFT])
     @pytest.mark.parametrize("shape", [(1, 5), (7, 13), (33, 32), (64, 64)])
@@ -223,17 +212,6 @@ class TestKappa:
             d0 = radial_distance_grid(*shape, transform)
             thresholds = [2 * r * r for r, _ in curve]
             assert np.count_nonzero(np.isin(d0, thresholds)) > shape[0] // 2
-
-    def test_empty_region_raises(self):
-        g = synthetic_ratio()
-        with pytest.raises(ValueError):
-            kappa(g, 5.0)
-
-    def test_csv_output(self, tmp_path):
-        curve = [(0.0, 1.5), (0.25, 2.0)]
-        write_kappa_csv(curve, tmp_path / "k.csv")
-        lines = (tmp_path / "k.csv").read_text().splitlines()
-        assert lines[0] == "r,kappa" and lines[1].startswith("0,1.5")
 
 
 class TestCalcParams:

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from tdas.cli import main
 import pytest
 
+from tdas.calib import freq_power_stats, kappa_curve, ratio_grid
 from tdas.core import load_dataset, load_tensor, save_tensor
 from tdas.filters import DCT, DFT, FreqFilterParams, SpaceFilter, build_freq_mask
 from tdas.sampler import SamplerConfig, sample_batch
@@ -168,6 +169,47 @@ class TestSample:
         assert "must be an integer" in res.output
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("change, key", [
+        ({"eps0": None}, "'eps0'"),
+        ({"out_dir": None}, "'out_dir'"),
+        ({"n_sample": 5}, "'n_sample'"),
+        ({"transform": "dft", "freq_mask": "m.tdt"}, "'transform'"),
+        ({"freq_params": "p.json", "freq_mask": "m.tdt"}, "'freq_mask'"),
+        ({"levels": {"sigma_max": 1.0, "sigma_min": 0.1, "levels": 5}}, "'levels.steps_per_level'"),
+        ({"levels": {"sigma_max": 1.0, "sigma_min": 0.1, "levels": 5, "steps_per_level": 2,
+                     "steps": 4}}, "'levels.steps'"),
+        ({"model": {"kind": "empirical"}}, "'model.dataset'"),
+        ({"model": {"kind": "gaussian", "s0": 1.0, "dataset": "ds"}}, "'model.dataset'"),
+        ({"model": {"dataset": "ds"}}, "'model.kind'"),
+        ({"model": {"kind": "flow"}}, "'flow'"),
+        ({"levels": [5, 2]}, "levels is not a JSON object"),
+    ], ids=["missing-eps0", "missing-out_dir", "unknown-n_sample", "transform-beside-freq_mask",
+            "freq_mask-beside-freq_params", "missing-levels-key", "unknown-levels-key",
+            "missing-dataset", "gaussian-dataset", "missing-kind", "unknown-kind", "levels-list"])
+    def test_config_keys_are_checked_before_sampling(self, tmp_path, change, key):
+        # A misspelt "n_sample" sampled one chain, a "transform" beside a raw
+        # freq_mask was dropped, and a missing eps0 printed only 'eps0'.
+        ds = make_data(tmp_path)
+        cfg = {k: v for k, v in {**json.loads(write_run_config(tmp_path, ds).read_text()),
+                                 **change}.items() if v is not None}
+        path = tmp_path / "checked.json"
+        path.write_text(json.dumps(cfg))
+        res = invoke("sample", str(path))
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: run config")
+        assert str(path) in lines[0] and key in lines[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_a_flag_supplies_a_key_the_config_lacks(self, tmp_path):
+        ds = make_data(tmp_path)
+        cfg = json.loads(write_run_config(tmp_path, ds).read_text())
+        del cfg["seed"]
+        path = tmp_path / "seedless.json"
+        path.write_text(json.dumps(cfg))
+        assert invoke("sample", str(path), "--vanilla", "--seed", "21").exit_code == 0
+        assert json.loads((tmp_path / "run" / "run_manifest.json").read_text())["seed"] == 21
+
     def test_seed_flag_replaces_a_non_integral_config_seed(self, tmp_path):
         ds = make_data(tmp_path)
         cfg = write_run_config(tmp_path, ds, seed=21.5)
@@ -185,7 +227,10 @@ class TestCalibrateStatsBench:
         assert res.exit_code == 0, res.output
         params = json.loads(params_path.read_text())
         assert {"lambda1", "lambda2", "r1", "r2"} <= set(params)
-        assert curve_path.read_text().startswith("r,kappa")
+        g = ratio_grid(freq_power_stats(load_dataset(gen)), freq_power_stats(load_dataset(ref)))
+        lines = curve_path.read_text().splitlines()
+        assert lines[0] == "r,kappa" and lines[1].startswith("0,")
+        assert lines[1:] == [f"{r:.10g},{k:.10g}" for r, k in kappa_curve(g)]
 
     def test_calibrate_no_crossing_exits_two(self, tmp_path):
         # Generated set low-frequency heavy vs white reference: the ratio falls

@@ -192,14 +192,18 @@ class TestApplyTdas:
     # block; sample_batch passes 5-axis (1, n, C, H, W) blocks.
     @pytest.mark.parametrize("shape", [(2, 1, 9, 7), (3, 1, 12, 9), (2, 3, 16, 16), (8, 1, 256, 256),
                                        (70, 1, 32, 32), (2, 1, 300, 300), (1, 8, 1, 64, 64)])
-    @pytest.mark.parametrize("transform, overwrite, identity", [
-        pytest.param(t, o, i, id="-".join([t] + ["overwrite"] * o + ["identity-space"] * i))
-        for i in (False, True) for o in (False, True) for t in (DCT, DFT)])
-    def test_equals_the_numpy_route_bit_for_bit(self, shape, transform, overwrite, identity, rng):
+    @pytest.mark.parametrize("transform, overwrite, identity, dtype", [
+        pytest.param(t, o, i, d, id="-".join([t] + ["overwrite"] * o + ["identity-space"] * i
+                                             + ["float32"] * (d == np.float32)))
+        for d in (np.float64, np.float32) for i in (False, True) for o in (False, True)
+        for t in (DCT, DFT)])
+    def test_equals_the_numpy_route_bit_for_bit(self, shape, transform, overwrite, identity,
+                                                 dtype, rng):
         # The DFT goes forward through scipy's rfft2 and back through numpy's
         # ifft and irfft, in place with overwrite; the reference runs both
-        # ways on numpy, back through irfft2.
-        z = rng.standard_normal(shape)
+        # ways on numpy, back through irfft2. A float32 z is copied once into
+        # a float64 array, whatever overwrite says, and left as it was.
+        z = rng.standard_normal(shape).astype(dtype)
         space = (identity_space_mask(shape[-3:]) if identity
                  else SpaceFilter(rng.uniform(0.4, 1.0, shape[-3:])))
         freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=transform), shape[-3:])
@@ -208,8 +212,8 @@ class TestApplyTdas:
         out = apply_tdas(z, space, freq, transform, overwrite=overwrite)
         assert np.array_equal(out, expected)
         # The masks are not all ones, so z itself would mean a bypass.
-        assert out is not z
-        if overwrite:
+        assert out is not z and out.dtype == np.float64
+        if overwrite and dtype == np.float64:
             assert np.shares_memory(out, z)
         else:
             assert np.array_equal(z, given)
@@ -331,6 +335,15 @@ class TestApplyTdas:
         with pytest.raises(ValueError):
             apply_tdas(rng.standard_normal((1, 8, 8)), identity_space_mask((1, 4, 4)),
                        np.ones((1, 4, 4)), DCT)
+
+    @pytest.mark.parametrize("transform", [DCT, DFT, BASIS])
+    def test_freq_with_leading_axes_is_refused(self, transform, rng):
+        # The masks are the item's: a freq with a batch axis would broadcast
+        # over z's leading axes, or not, depending on z.
+        z = rng.standard_normal((2, 1, 8, 8))
+        freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=DFT), (1, 8, 8))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            apply_tdas(z, identity_space_mask((1, 8, 8)), freq[None], transform)
 
     def test_pure_scaling_in_frequency_domain(self, rng):
         # With identity space mask, the DCT of the output equals freq * DCT(z).

@@ -29,6 +29,12 @@ class TestSpec:
             with pytest.raises(ValueError):
                 SynthSpec(LOW_FREQ_BLOBS, 5, (1, 8, 8), spectral_decay=decay)
 
+    @pytest.mark.parametrize("count", [True, 2.5])
+    def test_count_must_be_an_integer(self, count):
+        # count=True passed construction and failed inside generate.
+        with pytest.raises(ValueError, match="count"):
+            SynthSpec(UNSTRUCTURED, count, (1, 8, 8))
+
     @pytest.mark.parametrize("seed", [2.9, True])
     def test_seed_must_be_an_integer(self, seed):
         # A seed of 2.9 generated seed 2's set.

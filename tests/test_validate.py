@@ -47,9 +47,10 @@ class TestTrajectoryEquivalence:
                 for xs, xf in zip(traj_space, traj_freq, strict=True)]
         assert check_theorem1(model, make_cfg(), 3, steps, (1, 8, 8), fmap) == max(gaps[:steps + 1])
 
-    @pytest.mark.parametrize("steps", [0, -5, 21])
+    @pytest.mark.parametrize("steps", [0, -5, 21, 5.5, True])
     def test_rejects_steps_outside_the_run(self, steps):
-        # 0 or -5 steps compared only the initial state; the run has 20.
+        # 0 or -5 steps compared only the initial state; the run has 20. 5.5
+        # and True are no step counts, though the range check takes both.
         model = GaussianScore(np.zeros((1, 4, 4)), 1.0)
         with pytest.raises(ValueError, match="steps"):
             check_theorem1(model, make_cfg(), 0, steps, (1, 4, 4))

@@ -87,7 +87,8 @@ def freq_power_stats(samples: ImageDataset, transform: str = DCT) -> FreqStats:
         _add_power(total, items[rows], transform)
     if transform == DFT:
         total = _mirror_columns(total, width)
-    return FreqStats(total / (count * channels), transform, len(samples))
+    total /= count * channels
+    return FreqStats(total, transform, len(samples))
 
 
 def _add_power(total, block, transform):
@@ -129,8 +130,8 @@ def ratio_grid(generated: FreqStats, reference: FreqStats) -> RatioGrid:
     clamped = int(tiny.sum())
     if clamped:
         log.warning("ratio_grid: %d reference cells below floor %g were clamped", clamped, RATIO_FLOOR)
-    denom = np.maximum(reference.power, RATIO_FLOOR)
-    gamma = np.maximum(generated.power, RATIO_FLOOR) / denom
+    gamma = np.maximum(generated.power, RATIO_FLOOR)
+    gamma /= np.maximum(reference.power, RATIO_FLOOR)
     return RatioGrid(gamma, generated.transform, clamped)
 
 

@@ -151,59 +151,63 @@ def cmd_make_data(out_dir, kind, count, shape, decay, seed):
 
 def _build_model(cfg: dict):
     model_cfg = cfg["model"]
-    kind = model_cfg["kind"]
-    shape = tuple(cfg["shape"])
-    if kind == "gaussian":
-        mu = np.full(shape, float(model_cfg.get("mu", 0.0)))
-        return GaussianScore(mu, float(model_cfg.get("s0", 1.0)))
+    if model_cfg["kind"] == "gaussian":
+        mu = np.full(tuple(cfg["shape"]), model_cfg.get("mu", 0.0), dtype=np.float64)
+        return GaussianScore(mu, model_cfg.get("s0", 1.0))
     return EmpiricalScore(load_dataset(model_cfg["dataset"]))
 
 
-# The keys cmd_sample reads, (required, optional): at top level, in levels,
-# and in model by its kind.
-_RUN_KEYS = ({"shape", "levels", "model", "eps0", "seed", "out_dir"},
-             {"vanilla", "space_mask", "freq_params", "freq_mask", "accel_factor", "n_samples"})
-_LEVEL_KEYS = ({"levels", "steps_per_level", "sigma_max", "sigma_min"}, set())
-_MODEL_KEYS = {"gaussian": ({"kind"}, {"mu", "s0"}), "empirical": ({"kind", "dataset"}, set())}
+# The JSON types of run-config values: a test of the value and the error's wording.
+_INT = (_is_count, "must be an integer")
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number")
+_BOOL = (lambda v: isinstance(v, bool), "must be true or false")
+_STRING = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+_SHAPE = (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_count, v)),
+          "must be three integers")
+_OBJECT = (lambda v: isinstance(v, dict), "is not a JSON object")
+# The keys cmd_sample reads, each with its type: at top level, in levels, and
+# in model by its kind. Every key is required but those in _OPTIONAL.
+_RUN_KEYS = {"shape": _SHAPE, "levels": _OBJECT, "model": _OBJECT, "eps0": _NUMBER, "seed": _INT,
+             "out_dir": _STRING, "vanilla": _BOOL, "space_mask": _STRING, "freq_params": _STRING,
+             "freq_mask": _STRING, "accel_factor": _NUMBER, "n_samples": _INT}
+_LEVEL_KEYS = {"levels": _INT, "steps_per_level": _INT, "sigma_max": _NUMBER, "sigma_min": _NUMBER}
+_MODEL_KEYS = {"gaussian": {"kind": _STRING, "mu": _NUMBER, "s0": _NUMBER},
+               "empirical": {"kind": _STRING, "dataset": _STRING}}
+_OPTIONAL = {"vanilla", "space_mask", "freq_params", "freq_mask", "accel_factor", "n_samples",
+             "mu", "s0"}
 
 
-def _check_keys(section, keys, name: str, path):
-    """Refuse a section of the run config at path that is not a JSON object,
-    lacks a required key or holds a key that is never read."""
-    if not isinstance(section, dict):
-        raise ValueError(f"run config {path}: {name or 'the config'} is not a JSON object")
-    required, optional = keys
+def _check_keys(section: dict, keys: dict, name: str, path):
+    """Refuse a section of the run config at path that lacks a required key, or
+    holds a key that is never read or a value that is not of the key's type."""
     prefix = name + "." if name else ""
-    for key in sorted(required - section.keys()):
+    for key in sorted(keys.keys() - _OPTIONAL - section.keys()):
         raise ValueError(f"run config {path} lacks the key {prefix + key!r}")
-    for key in sorted(section.keys() - required - optional):
+    for key in sorted(section.keys() - keys.keys()):
         raise ValueError(f"run config {path} has the key {prefix + key!r}, which is never read")
+    for key, value in sorted(section.items()):
+        is_type, wanted = keys[key]
+        if not is_type(value):
+            raise ValueError(f"run config {path}: {prefix + key} {wanted}, got {value!r}")
 
 
 def _load_run_config(path, overrides: dict) -> dict:
     """The run config at path with each override that is not None set, once
-    its keys are checked against the ones cmd_sample reads."""
+    its keys and their types are checked against the ones cmd_sample reads."""
     cfg = json.loads(Path(path).read_text())
-    if isinstance(cfg, dict):
-        cfg.update((key, value) for key, value in overrides.items() if value is not None)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"run config {path}: the config is not a JSON object")
+    cfg.update((key, value) for key, value in overrides.items() if value is not None)
     _check_keys(cfg, _RUN_KEYS, "", path)
     _check_keys(cfg["levels"], _LEVEL_KEYS, "levels", path)
-    kind = cfg["model"].get("kind") if isinstance(cfg["model"], dict) else None
+    kind = cfg["model"].get("kind")
     if kind is not None and kind not in tuple(_MODEL_KEYS):  # == only: kind may be a list
         raise ValueError(f"run config {path}: unknown model kind {kind!r}")
-    _check_keys(cfg["model"], _MODEL_KEYS.get(kind, ({"kind"}, set())), "model", path)
-    if cfg.get("freq_params") and cfg.get("freq_mask"):
+    _check_keys(cfg["model"], _MODEL_KEYS.get(kind, {"kind": _STRING}), "model", path)
+    if "freq_params" in cfg and "freq_mask" in cfg:
         raise ValueError(f"run config {path} has the key 'freq_mask', which is never read "
                          "beside 'freq_params'")
     return cfg
-
-
-def _config_int(value, name: str) -> int:
-    """A run-config count, which must be a JSON integer: int() would truncate
-    2.7 to 2 and take true for 1."""
-    if not _is_count(value):
-        raise ValueError(f"run config {name!r} must be an integer, got {value!r}")
-    return value
 
 
 @main.command("sample")
@@ -215,35 +219,30 @@ def _config_int(value, name: str) -> int:
 @click.option("--seed", type=int, default=None)
 def cmd_sample(run_config, use_vanilla, iterations, accel, seed):
     """Run a batch of sampling chains described by RUN_CONFIG (JSON; flags win)."""
-    cfg = _load_run_config(run_config, {"accel_factor": accel, "seed": seed})
-    if use_vanilla is not None:
-        cfg["vanilla"] = use_vanilla
+    cfg = _load_run_config(run_config, {"accel_factor": accel, "seed": seed,
+                                        "vanilla": use_vanilla})
     shape = tuple(cfg["shape"])
     lv = cfg["levels"]
-    n_levels = _config_int(lv["levels"], "levels.levels")
-    steps_per_level = _config_int(lv["steps_per_level"], "levels.steps_per_level")
+    steps_per_level = lv["steps_per_level"]
     if iterations is not None:
-        if iterations % n_levels != 0:
+        if iterations % lv["levels"] != 0:
             raise ValueError("--iterations must be a multiple of the level count")
-        steps_per_level = iterations // n_levels
-    levels = geometric_levels(float(lv["sigma_max"]), float(lv["sigma_min"]), n_levels,
-                              steps_per_level)
+        steps_per_level = iterations // lv["levels"]
+    levels = geometric_levels(lv["sigma_max"], lv["sigma_min"], lv["levels"], steps_per_level)
     model = _build_model(cfg)
     space, freq, transform = None, None, DCT
-    if not cfg.get("vanilla", False):
-        space = SpaceFilter(load_tensor(cfg["space_mask"])) if cfg.get("space_mask") else None
-        if cfg.get("freq_params"):
+    if cfg.get("vanilla") is not True:
+        space = SpaceFilter(load_tensor(cfg["space_mask"])) if "space_mask" in cfg else None
+        if "freq_params" in cfg:
             params = FreqFilterParams.from_json(Path(cfg["freq_params"]).read_text())
             freq, transform = build_freq_mask(params, shape), params.transform
-        elif cfg.get("freq_mask"):
+        elif "freq_mask" in cfg:
             freq = load_tensor(cfg["freq_mask"])
-    sampler_cfg = SamplerConfig(levels=levels, eps0=float(cfg["eps0"]),
-                                accel_factor=float(cfg.get("accel_factor", 1.0)),
-                                transform=transform)
-    master_seed = _config_int(cfg["seed"], "seed")
-    n_samples = _config_int(cfg.get("n_samples", 1), "n_samples")
-    mw = ManifestWriter("sample", cfg, master_seed)
-    x = sample_batch(model, sampler_cfg, master_seed, n_samples,
+    sampler_cfg = SamplerConfig(levels=levels, eps0=cfg["eps0"],
+                                accel_factor=cfg.get("accel_factor", 1.0), transform=transform)
+    n_samples = cfg.get("n_samples", 1)
+    mw = ManifestWriter("sample", cfg, cfg["seed"])
+    x = sample_batch(model, sampler_cfg, cfg["seed"], n_samples,
                      space=space, freq=freq, shape=shape)
     mw.phase("sample")
     out_dir = Path(cfg["out_dir"])

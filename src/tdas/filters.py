@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -38,6 +39,10 @@ class FreqFilterParams:
     transform: str = DCT
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "r1", "r2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # Every comparison with NaN is false, so NaN fails these as well.
         if not 0 < self.r1 <= self.r2 < math.inf:
             raise ValueError(f"need 0 < r1 <= r2 < inf, got r1={self.r1}, r2={self.r2}")

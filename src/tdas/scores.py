@@ -23,13 +23,16 @@ def _row_logsumexp(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     rows, bit for bit, without scipy's extra exp pass over the whole array: as in
     scipy, the m entries equal to a row's maximum are split off and the rest
     enter as log1p(s/m). The exponentials go into scratch, an array of a's
-    shape and dtype whose contents are overwritten."""
+    shape and dtype whose contents are overwritten. exp is +0 at or below
+    -746, and an underflowing exp costs about ten in-range ones, so those
+    entries are set to 0 without it."""
     a_max = np.max(a, axis=1, keepdims=True)
     at_max = a == a_max
     m = np.sum(at_max, axis=1, keepdims=True, dtype=a.dtype)
     e = np.subtract(a, a_max, out=scratch)
-    np.exp(e, out=e)
+    np.exp(e, out=e, where=e > -746.0)
     e[at_max] = 0.0
+    np.maximum(e, 0.0, out=e)  # the skipped entries, still at or below -746
     return np.log1p(np.sum(e, axis=1, keepdims=True) / m) + np.log(m) + a_max
 
 
@@ -152,7 +155,8 @@ class EmpiricalScore(ScoreModel):
         logits -= prod
         logits /= -(2.0 * sigma**2)
         logits -= _row_logsumexp(logits, scratch=prod)
-        np.exp(logits, out=logits)
+        # exp(-709) is below _TINY, so the flush zeroes what exp skips there.
+        np.exp(logits, out=logits, where=logits > -709.0)
         logits[logits < _TINY] = 0.0
         return logits
 

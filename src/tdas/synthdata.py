@@ -44,8 +44,11 @@ def _decay_magnitude(height, width, p):
     distance to the DC bin, so binned spectral power falls off like r^(-p)."""
     h = np.arange(height, dtype=np.float64)[:, None]
     w = np.arange(width, dtype=np.float64)[None, :]
-    r = np.sqrt(h**2 + w**2)
-    return (1.0 + r) ** (-p / 2.0)
+    m = h**2 + w**2  # one buffer, each step in place
+    np.sqrt(m, out=m)
+    m += 1.0
+    m **= -p / 2.0
+    return m
 
 
 def _oval_template(shape):
@@ -67,7 +70,7 @@ def generate(spec: SynthSpec) -> ImageDataset:
         return ImageDataset(items)
     items *= _decay_magnitude(*spec.shape[1:], spec.spectral_decay)
     for rows in block_slices(spec.count, items[0].nbytes):
-        items[rows] = idct2(items[rows])
+        idct2(items[rows], overwrite=True)  # the result is written into the block
     if spec.kind == FACE_LIKE:
         # Equals template + 0.1 * v bit for bit.
         items *= 0.1

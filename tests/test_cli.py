@@ -13,6 +13,9 @@ from tdas.sampler import SamplerConfig, sample_batch
 from tdas.scores import EmpiricalScore, geometric_levels
 
 
+DROP = object()  # a change that removes its key from a run config
+
+
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
 
@@ -170,8 +173,8 @@ class TestSample:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("change, key", [
-        ({"eps0": None}, "'eps0'"),
-        ({"out_dir": None}, "'out_dir'"),
+        ({"eps0": DROP}, "'eps0'"),
+        ({"out_dir": DROP}, "'out_dir'"),
         ({"n_sample": 5}, "'n_sample'"),
         ({"transform": "dft", "freq_mask": "m.tdt"}, "'transform'"),
         ({"freq_params": "p.json", "freq_mask": "m.tdt"}, "'freq_mask'"),
@@ -183,15 +186,27 @@ class TestSample:
         ({"model": {"dataset": "ds"}}, "'model.kind'"),
         ({"model": {"kind": "flow"}}, "'flow'"),
         ({"levels": [5, 2]}, "levels is not a JSON object"),
+        ({"vanilla": "false"}, "vanilla must be true or false"),
+        ({"eps0": "0.01"}, "eps0 must be a number"),
+        ({"accel_factor": True}, "accel_factor must be a number"),
+        ({"levels": {"sigma_max": "1.0", "sigma_min": 0.1, "levels": 5, "steps_per_level": 2}},
+         "levels.sigma_max must be a number"),
+        ({"model": {"kind": "gaussian", "mu": "0"}}, "model.mu must be a number"),
+        ({"freq_params": ""}, "freq_params must be a non-empty string"),
+        ({"space_mask": None}, "space_mask must be a non-empty string"),
+        ({"shape": [1, 8, 8.5]}, "shape must be three integers"),
     ], ids=["missing-eps0", "missing-out_dir", "unknown-n_sample", "transform-beside-freq_mask",
             "freq_mask-beside-freq_params", "missing-levels-key", "unknown-levels-key",
-            "missing-dataset", "gaussian-dataset", "missing-kind", "unknown-kind", "levels-list"])
+            "missing-dataset", "gaussian-dataset", "missing-kind", "unknown-kind", "levels-list",
+            "vanilla-str", "eps0-str", "accel_factor-bool", "sigma_max-str", "mu-str",
+            "freq_params-empty", "space_mask-null", "shape-fractional"])
     def test_config_keys_are_checked_before_sampling(self, tmp_path, change, key):
         # A misspelt "n_sample" sampled one chain, a "transform" beside a raw
-        # freq_mask was dropped, and a missing eps0 printed only 'eps0'.
+        # freq_mask was dropped, a missing eps0 printed only 'eps0', and
+        # "vanilla": "false" sampled unfiltered.
         ds = make_data(tmp_path)
         cfg = {k: v for k, v in {**json.loads(write_run_config(tmp_path, ds).read_text()),
-                                 **change}.items() if v is not None}
+                                 **change}.items() if v is not DROP}
         path = tmp_path / "checked.json"
         path.write_text(json.dumps(cfg))
         res = invoke("sample", str(path))
@@ -200,6 +215,30 @@ class TestSample:
         assert len(lines) == 1 and lines[0].startswith("error: run config")
         assert str(path) in lines[0] and key in lines[0]
         assert not (tmp_path / "run").exists()
+
+    def test_a_config_that_is_not_an_object_exits_one(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        res = invoke("sample", str(path))
+        assert res.exit_code == 1
+        assert res.output == f"error: run config {path}: the config is not a JSON object\n"
+
+    def test_tdas_flag_replaces_a_mistyped_vanilla(self, tmp_path):
+        # The flag is set before the check, so the run filters as --tdas says.
+        ds = make_data(tmp_path)
+        mask_path = tmp_path / "freq_mask.tdt"
+        mask = np.random.default_rng(5).uniform(0.2, 1.0, (1, 8, 8))
+        save_tensor(mask, mask_path)
+        cfg = write_run_config(tmp_path, ds, vanilla="false", freq_mask=str(mask_path))
+        res = invoke("sample", str(cfg), "--tdas")
+        assert res.exit_code == 0, res.output
+        out = load_dataset(tmp_path / "run" / "tensors").items
+        model = EmpiricalScore(load_dataset(ds))
+        sampler_cfg = SamplerConfig(levels=geometric_levels(1.0, 0.1, 5, 2), eps0=0.001)
+        assert np.array_equal(out, sample_batch(model, sampler_cfg, 21, 3, freq=mask,
+                                                shape=(1, 8, 8)))
+        manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+        assert manifest["config"]["vanilla"] is False
 
     def test_a_flag_supplies_a_key_the_config_lacks(self, tmp_path):
         ds = make_data(tmp_path)

@@ -64,6 +64,21 @@ class TestFreqFilterParams:
         with pytest.raises(ValueError):
             FreqFilterParams.from_json(json.dumps(fields))
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "r1", "r2"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5], 0.5 + 0j, np.bool_(True)])
+    def test_rejects_a_value_that_is_no_real_number(self, field, value):
+        # A hand-edited file with "r1": true filtered with r1 = 1, and a
+        # string lambda raised a bare TypeError from the comparison.
+        fields = {"lambda1": 0.9, "lambda2": 0.7, "r1": 0.2, "r2": 0.4, field: value}
+        with pytest.raises(ValueError, match=field):
+            FreqFilterParams(**fields)
+        if not isinstance(value, (complex, np.bool_)):
+            with pytest.raises(ValueError, match=field):
+                FreqFilterParams.from_json(json.dumps(fields))
+
+    def test_numpy_reals_pass(self):
+        FreqFilterParams(np.float64(0.9), np.float32(0.7), np.float64(0.2), np.int64(1))
+
     def test_lambda_above_one_allowed(self):
         # Amplification is legitimate in the reverse calibration direction.
         FreqFilterParams(2.94, 1.5, 0.2, 0.4)

@@ -252,6 +252,55 @@ class TestRowLogsumexp:
         self.check(a)
 
 
+class TestSkippedExp:
+    """The exp calls skip entries whose result is fixed: at or below -746 in
+    the row sum (exp is +0), at or below -709 in the weights (exp is below
+    TINY and flushed). Both equal the unmasked formulas bit for bit."""
+
+    SIGMA = 0.5
+
+    @staticmethod
+    def unmasked_logsumexp(a):
+        a_max = np.max(a, axis=1, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=1, keepdims=True, dtype=a.dtype)
+        e = np.exp(a - a_max)
+        e[at_max] = 0.0
+        return np.log1p(np.sum(e, axis=1, keepdims=True) / m) + np.log(m) + a_max
+
+    @staticmethod
+    def shifted_logits(rng):
+        # 0 down to -1e5, with the (-746, -708) band densely covered.
+        band = -rng.uniform(700.0, 750.0, 200)
+        return np.concatenate([[0.0], -np.geomspace(1e-3, 1e5, 200), band])
+
+    def test_row_logsumexp(self, rng):
+        a = self.shifted_logits(rng) + rng.standard_normal((8, 1))
+        a[:, 1:] = rng.permuted(a[:, 1:], axis=1)
+        # A row whose sum holds only the smallest subnormals: its result is that sum.
+        a[0] = np.concatenate([[0.0], -rng.uniform(740.0, 746.0, 200),
+                               -np.geomspace(747, 1e5, 200)])
+        got = _row_logsumexp(a, np.empty_like(a))
+        assert 0 < got[0, 0] < TINY
+        assert np.array_equal(got.view(np.uint64), self.unmasked_logsumexp(a).view(np.uint64))
+
+    def test_weights(self, rng):
+        # Atoms at distance sqrt(2 sigma^2 L) from 0 give logits near -L at x = 0.
+        d = 16
+        level = -self.shifted_logits(rng)
+        flat = np.sqrt(2.0 * self.SIGMA**2 * level / d)[:, None] * np.ones(d)
+        model = EmpiricalScore(ImageDataset(flat.reshape(-1, 1, 4, 4)))
+        x_flat = np.concatenate([np.zeros((1, d)), 0.05 * rng.standard_normal((5, d))])
+        logits = (np.sum(x_flat**2, axis=1, keepdims=True) + model._sq_norms[None, :]
+                  - 2.0 * (x_flat @ model._flat.T)) / -(2.0 * self.SIGMA**2)
+        logits -= self.unmasked_logsumexp(logits)
+        assert logits.min() < -9e4 and np.sum((logits > -746) & (logits < -708)) > 100
+        expected = np.exp(logits)
+        expected[expected < TINY] = 0.0
+        got = model._weights(x_flat, self.SIGMA, np.empty_like(x_flat))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestNoiseLevels:
     def test_requires_strictly_decreasing(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,27 @@ class TestGenerate:
                 else:
                     items.append(_oval_template(spec.shape) + 0.1 * idct2(mag * noise))
             assert np.array_equal(generate(spec).items, np.stack(items)), (count, shape)
+
+    @pytest.mark.parametrize("p", [0.5, 1.3, 2.0, 4.0])
+    def test_decay_magnitude_is_the_formula(self, p):
+        h, w = np.arange(9.0)[:, None], np.arange(7.0)[None, :]
+        expected = (1.0 + np.sqrt(h**2 + w**2)) ** (-p / 2.0)
+        assert np.array_equal(_decay_magnitude(9, 7, p), expected)
+
+    def test_structured_data_holds_the_stack_and_one_plane(self):
+        # The decay profile takes one plane and each block's inverse DCT is
+        # written back into the stack. numpy's ufunc buffers (a few 64-KiB
+        # blocks, whatever the grid) come on top.
+        spec = SynthSpec(LOW_FREQ_BLOBS, 2, (1, 256, 256))
+        plane = 256 * 256 * 8
+        generate(spec)  # scipy's transform plans are cached on first use
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * plane + 2**18
 
     def test_shapes(self):
         ds = generate(SynthSpec(FACE_LIKE, 3, (2, 10, 12), seed=0))

@@ -11,6 +11,7 @@ An error is one `error:` line on stderr.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 import zlib
@@ -157,20 +158,28 @@ def _build_model(cfg: dict):
     return EmpiricalScore(load_dataset(model_cfg["dataset"]))
 
 
-# The JSON types of run-config values: a test of the value and the error's wording.
-_INT = (_is_count, "must be an integer")
-_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number")
-_BOOL = (lambda v: isinstance(v, bool), "must be true or false")
-_STRING = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
-_SHAPE = (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_count, v)),
-          "must be three integers")
-_OBJECT = (lambda v: isinstance(v, dict), "is not a JSON object")
-# The keys cmd_sample reads, each with its type: at top level, in levels, and
+# The JSON types and ranges of run-config values: each a tuple of checks, a
+# test of the value and the error's wording, made in order until one fails.
+_INT = ((_is_count, "must be an integer"),)
+_NUMBER = ((lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+            "must be a number"),)
+_BOOL = ((lambda v: isinstance(v, bool), "must be true or false"),)
+_STRING = ((lambda v: isinstance(v, str) and v != "", "must be a non-empty string"),)
+_OBJECT = ((lambda v: isinstance(v, dict), "is not a JSON object"),)
+_COUNT = _INT + ((lambda v: v >= 1, "must be >= 1"),)
+_SEED = _INT + ((lambda v: v >= 0, "must be >= 0"),)
+_POSITIVE = _NUMBER + ((lambda v: 0 < v < math.inf, "must be positive and finite"),)
+_SHAPE = ((lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_count, v)),
+           "must be three integers"),
+          (lambda v: min(v) >= 1, "must be three integers >= 1"))
+# The keys cmd_sample reads, each with its checks: at top level, in levels, and
 # in model by its kind. Every key is required but those in _OPTIONAL.
-_RUN_KEYS = {"shape": _SHAPE, "levels": _OBJECT, "model": _OBJECT, "eps0": _NUMBER, "seed": _INT,
-             "out_dir": _STRING, "vanilla": _BOOL, "space_mask": _STRING, "freq_params": _STRING,
-             "freq_mask": _STRING, "accel_factor": _NUMBER, "n_samples": _INT}
-_LEVEL_KEYS = {"levels": _INT, "steps_per_level": _INT, "sigma_max": _NUMBER, "sigma_min": _NUMBER}
+_RUN_KEYS = {"shape": _SHAPE, "levels": _OBJECT, "model": _OBJECT, "eps0": _POSITIVE,
+             "seed": _SEED, "out_dir": _STRING, "vanilla": _BOOL, "space_mask": _STRING,
+             "freq_params": _STRING, "freq_mask": _STRING, "accel_factor": _POSITIVE,
+             "n_samples": _COUNT}
+_LEVEL_KEYS = {"levels": _COUNT, "steps_per_level": _COUNT, "sigma_max": _POSITIVE,
+               "sigma_min": _POSITIVE}
 _MODEL_KEYS = {"gaussian": {"kind": _STRING, "mu": _NUMBER, "s0": _NUMBER},
                "empirical": {"kind": _STRING, "dataset": _STRING}}
 _OPTIONAL = {"vanilla", "space_mask", "freq_params", "freq_mask", "accel_factor", "n_samples",
@@ -179,21 +188,22 @@ _OPTIONAL = {"vanilla", "space_mask", "freq_params", "freq_mask", "accel_factor"
 
 def _check_keys(section: dict, keys: dict, name: str, path):
     """Refuse a section of the run config at path that lacks a required key, or
-    holds a key that is never read or a value that is not of the key's type."""
+    holds a key that is never read or a value out of the key's type or range."""
     prefix = name + "." if name else ""
     for key in sorted(keys.keys() - _OPTIONAL - section.keys()):
         raise ValueError(f"run config {path} lacks the key {prefix + key!r}")
     for key in sorted(section.keys() - keys.keys()):
         raise ValueError(f"run config {path} has the key {prefix + key!r}, which is never read")
     for key, value in sorted(section.items()):
-        is_type, wanted = keys[key]
-        if not is_type(value):
-            raise ValueError(f"run config {path}: {prefix + key} {wanted}, got {value!r}")
+        for holds, wanted in keys[key]:
+            if not holds(value):
+                raise ValueError(f"run config {path}: {prefix + key} {wanted}, got {value!r}")
 
 
 def _load_run_config(path, overrides: dict) -> dict:
     """The run config at path with each override that is not None set, once
-    its keys and their types are checked against the ones cmd_sample reads."""
+    its keys, their types and their ranges are checked against the ones
+    cmd_sample reads."""
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise ValueError(f"run config {path}: the config is not a JSON object")

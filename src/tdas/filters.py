@@ -182,9 +182,13 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         x = z.view()
     else:
         x = np.array(z, dtype=np.float64, order="C")
-    if not space.is_identity:
-        np.multiply(space.mask, x, out=x)
     items = x.reshape((-1,) + x.shape[-3:])  # a view, as x is C-contiguous
+    # The space mask and, below, the DCT and BASIS masks multiply in item by
+    # item: a product broadcast over planes smaller than numpy's ufunc buffer
+    # takes that 64-KiB buffer.
+    if not space.is_identity:
+        for item in items:
+            item *= space.mask
     if transform == DFT:
         width = x.shape[-1]
         # The real and imaginary parts times the real mask, each in place: the
@@ -205,8 +209,6 @@ def apply_tdas(z: np.ndarray, space: SpaceFilter, freq: np.ndarray, transform: s
         return x
     if transform == DCT:
         dct2(x, True)  # in place: x is C-contiguous float64
-    # Item by item, because a product broadcast over planes smaller than
-    # numpy's ufunc buffer takes that 64-KiB buffer.
     for item in items:
         item *= freq
     return idct2(x, True) if transform == DCT else x

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import ImageDataset, NoiseSource, _is_count
 from .transforms import OrthogonalMap
@@ -19,10 +18,10 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _row_logsumexp(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp(a, axis=1, keepdims=True) for a 2-D array of finite
-    rows, bit for bit, without scipy's extra exp pass over the whole array: as in
-    scipy, the m entries equal to a row's maximum are split off and the rest
-    enter as log1p(s/m). The exponentials go into scratch, an array of a's
+    """SciPy's special.logsumexp(a, axis=1, keepdims=True) for a 2-D array of
+    finite rows, bit for bit, without its extra exp pass over the whole array:
+    as there, the m entries equal to a row's maximum are split off and the
+    rest enter as log1p(s/m). The exponentials go into scratch, an array of a's
     shape and dtype whose contents are overwritten. exp is +0 at or below
     -746, and an underflowing exp costs about ten in-range ones, so those
     entries are set to 0 without it."""
@@ -102,11 +101,6 @@ class GaussianScore(ScoreModel):
         d /= self.s0**2 + sigma**2
         return d
 
-    def log_density(self, x, sigma=0.0):
-        var = self.s0**2 + sigma**2
-        d = x.size
-        return -0.5 * np.sum((x - self.mu) ** 2) / var - 0.5 * d * np.log(2 * np.pi * var)
-
     def sample_targets(self, src, n):
         # One (n,)+shape draw equals n successive draws bit for bit.
         return self.mu + self.s0 * src.normal((n,) + np.shape(self.mu))
@@ -163,7 +157,11 @@ class EmpiricalScore(ScoreModel):
     def score_batch(self, x: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
         if sigma <= 0:
             raise ValueError("empirical score needs sigma > 0 (density is atomic at 0)")
-        self._check_shape(x)
+        # Any multiple of the image size would reshape; only stacks of images
+        # may pass. score's x[None] of one (H, W) plane ends in (1, H, W).
+        if x.ndim < 4 or x.shape[-3:] != self.ds.shape:
+            raise ValueError(f"x of shape {x.shape} is not a stack of the dataset's "
+                             f"{self.ds.shape} images")
         if out is None:
             out = np.empty(x.shape)
         x_flat = x.reshape(-1, self._flat.shape[1])
@@ -176,22 +174,7 @@ class EmpiricalScore(ScoreModel):
         return out
 
     def score(self, x, sigma):
-        self._check_shape(x)
         return self.score_batch(x[None], sigma)[0]
-
-    def _check_shape(self, x):
-        # Any multiple of the image size would reshape; only stacks of images may pass.
-        if x.shape[-3:] != self.ds.shape:
-            raise ValueError(f"x of shape {x.shape} does not end in the dataset's {self.ds.shape}")
-
-    def log_density(self, x, sigma):
-        if sigma <= 0:
-            raise ValueError("empirical score needs sigma > 0")
-        x_flat = x.reshape(1, -1)
-        sq = np.sum((x_flat[:, None, :] - self._flat[None]) ** 2, axis=2)
-        d = self._flat.shape[1]
-        log_norm = -0.5 * d * np.log(2 * np.pi * sigma**2)
-        return float(logsumexp(-sq[0] / (2 * sigma**2)) - np.log(len(self.ds)) + log_norm)
 
     def sample_targets(self, src, n):
         return self.ds.items[[src.integers(0, len(self.ds)) for _ in range(n)]]

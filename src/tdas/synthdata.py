@@ -51,13 +51,13 @@ def _decay_magnitude(height, width, p):
     return m
 
 
-def _oval_template(shape):
-    c, height, width = shape
+def _oval_template(height, width):
+    """The face-like layout: 0.8 inside a centred oval, 0.1 outside, as one
+    (H, W) plane that generate adds to every channel."""
     hh = (np.arange(height)[:, None] - (height - 1) / 2.0) / (height / 2.0)
     ww = (np.arange(width)[None, :] - (width - 1) / 2.0) / (width / 2.0)
     inside = (hh / 0.75) ** 2 + (ww / 0.55) ** 2 <= 1.0
-    template = np.where(inside, 0.8, 0.1)
-    return np.broadcast_to(template, shape).astype(np.float64)
+    return np.where(inside, 0.8, 0.1)
 
 
 def generate(spec: SynthSpec) -> ImageDataset:
@@ -74,7 +74,7 @@ def generate(spec: SynthSpec) -> ImageDataset:
     if spec.kind == FACE_LIKE:
         # Equals template + 0.1 * v bit for bit.
         items *= 0.1
-        items += _oval_template(spec.shape)
+        items += _oval_template(*spec.shape[1:])
     return ImageDataset(items)
 
 

@@ -216,6 +216,44 @@ class TestSample:
         assert str(path) in lines[0] and key in lines[0]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key, text, flags", [
+        ("shape", "[1, -8, 8]", ()),
+        ("shape", "[1, 0, 8]", ()),
+        ("seed", "-1", ()),
+        ("seed", None, ("--seed", "-1")),
+        ("n_samples", "0", ()),
+        ("levels.levels", "0", ()),
+        ("levels.steps_per_level", "0", ()),
+        ("eps0", "-1", ()),
+        ("eps0", "0", ()),
+        ("accel_factor", "1e400", ()),
+        ("accel_factor", "NaN", ()),
+        ("accel_factor", None, ("--accel", "-2")),
+        ("levels.sigma_max", "Infinity", ()),
+        ("levels.sigma_min", "-0.1", ()),
+        ("levels.sigma_min", "0", ()),
+    ], ids=["shape-negative", "shape-zero", "seed", "seed-flag", "n_samples", "levels",
+            "steps_per_level", "eps0-negative", "eps0-zero", "accel_factor-overflow",
+            "accel_factor-nan", "accel-flag", "sigma_max-inf", "sigma_min-negative",
+            "sigma_min-zero"])
+    def test_out_of_range_values_name_the_key(self, tmp_path, key, text, flags):
+        # Each exited 1 with the check further down, which named neither the
+        # config nor the key ("negative dimensions are not allowed").
+        cfg = json.loads(write_run_config(tmp_path, None, model={"kind": "gaussian"}).read_text())
+        if text is not None:
+            *parents, last = key.split(".")
+            section = cfg
+            for name in parents:
+                section = section[name]
+            section[last] = "RAW"
+        path = tmp_path / "ranged.json"
+        path.write_text(json.dumps(cfg).replace('"RAW"', str(text)))
+        res = invoke("sample", str(path), *flags)
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: run config {path}: {key} must be")
+        assert not (tmp_path / "run").exists()
+
     def test_a_config_that_is_not_an_object_exits_one(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

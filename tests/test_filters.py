@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tdas import filters
 from tdas.core import DegenerateDatasetError, ImageDataset
 from tdas.filters import (
     BASIS,
@@ -276,6 +277,40 @@ class TestApplyTdas:
         assert np.shares_memory(out, z)
         half = 16 * shape[-2] * (shape[-1] // 2 + 1)
         assert peak <= half + 8 * np.getbufsize() + 4096
+
+    @pytest.mark.parametrize("transform, first", [(DCT, "dct2"), (DFT, "rdft2")])
+    def test_space_mask_product_takes_no_ufunc_buffer(self, transform, first, rng, monkeypatch):
+        # The peak from the DFT mask's symmetry check (or the call's start) to
+        # the first transform is the space mask's product alone (overwrite: z
+        # is not copied). Broadcast over eight 64² planes it took numpy's
+        # ufunc buffer of np.getbufsize() float64s; item by item it takes
+        # only the items' views.
+        shape = (1, 8, 1, 64, 64)
+        space = SpaceFilter(rng.uniform(0.4, 1.0, shape[-3:]))
+        freq = build_freq_mask(FreqFilterParams(0.7, 0.4, 0.2, 0.4, transform=transform), shape[-3:])
+        apply_tdas(rng.standard_normal(shape), space, freq, transform, overwrite=True)  # FFT plans
+        transform_fn, symmetric = getattr(filters, first), filters._conjugate_symmetric
+        peaks = []
+
+        def probed(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return transform_fn(*args, **kwargs)
+
+        def checked(mask):
+            result = symmetric(mask)
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(filters, first, probed)
+        monkeypatch.setattr(filters, "_conjugate_symmetric", checked)
+        z = rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            apply_tdas(z, space, freq, transform, overwrite=True)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] - start < 4096 < 8 * np.getbufsize()
 
     # In the mask's basis the regulation is the product with the mask, item
     # by item: in place with overwrite, into a fresh array otherwise, and

@@ -30,6 +30,22 @@ def numeric_grad(log_density, x, h=1e-5):
     return g
 
 
+# The log densities whose gradients the models' scores are; no code outside
+# these tests needs them.
+def gaussian_log_density(m, x, sigma):
+    var = m.s0**2 + sigma**2
+    d = x.size
+    return -0.5 * np.sum((x - m.mu) ** 2) / var - 0.5 * d * np.log(2 * np.pi * var)
+
+
+def empirical_log_density(m, x, sigma):
+    x_flat = x.reshape(1, -1)
+    sq = np.sum((x_flat[:, None, :] - m._flat[None]) ** 2, axis=2)
+    d = m._flat.shape[1]
+    log_norm = -0.5 * d * np.log(2 * np.pi * sigma**2)
+    return float(logsumexp(-sq[0] / (2 * sigma**2)) - np.log(len(m.ds)) + log_norm)
+
+
 class TestGaussianScore:
     def test_score_formula(self):
         mu = np.full((1, 2, 2), 0.5)
@@ -46,7 +62,7 @@ class TestGaussianScore:
     def test_score_is_log_density_gradient(self, rng):
         m = GaussianScore(rng.standard_normal((1, 2, 2)), s0=1.5)
         x = rng.standard_normal((1, 2, 2))
-        num = numeric_grad(lambda y: m.log_density(y, 0.7), x)
+        num = numeric_grad(lambda y: gaussian_log_density(m, y, 0.7), x)
         assert np.allclose(m.score(x, 0.7), num, atol=1e-6)
 
     def test_sample_target_moments(self):
@@ -122,7 +138,7 @@ class TestEmpiricalScore:
     def test_score_is_log_density_gradient(self, small_dataset, rng):
         m = EmpiricalScore(small_dataset)
         x = rng.standard_normal((1, 8, 8))
-        num = numeric_grad(lambda y: m.log_density(y, 1.2), x)
+        num = numeric_grad(lambda y: empirical_log_density(m, y, 1.2), x)
         assert np.allclose(m.score(x, 1.2), num, atol=1e-5)
 
     def test_score_batch_matches_single(self, small_dataset, rng):
@@ -144,7 +160,9 @@ class TestEmpiricalScore:
         with pytest.raises(ValueError, match="dataset"):
             EmpiricalScore(small_dataset).score(np.zeros(shape), 0.9)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 4, 16), (3, 4, 4, 4), (2, 64), (5, 2, 1, 8, 4)])
+    # (1, 8, 8) is one image, not a stack; score's x[None] of an (8, 8) plane is that.
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 16), (3, 4, 4, 4), (2, 64), (5, 2, 1, 8, 4),
+                                       (1, 8, 8)])
     def test_score_batch_rejects_x_not_ending_in_the_image_shape(self, small_dataset, shape):
         with pytest.raises(ValueError, match="dataset"):
             EmpiricalScore(small_dataset).score_batch(np.zeros(shape), 0.9)

@@ -64,7 +64,7 @@ class TestGenerate:
                 elif kind == LOW_FREQ_BLOBS:
                     items.append(idct2(mag * noise))
                 else:
-                    items.append(_oval_template(spec.shape) + 0.1 * idct2(mag * noise))
+                    items.append(_oval_template(*shape[1:]) + 0.1 * idct2(mag * noise))
             assert np.array_equal(generate(spec).items, np.stack(items)), (count, shape)
 
     @pytest.mark.parametrize("p", [0.5, 1.3, 2.0, 4.0])
@@ -87,6 +87,21 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * plane + 2**18
+
+    def test_face_like_adds_one_plane_to_the_blobs_peak(self):
+        # The template is one (H, W) plane added by broadcasting; a (C, H, W)
+        # copy of it took C more planes.
+        def peak(kind):
+            spec = SynthSpec(kind, 2, (3, 256, 256))
+            generate(spec)  # scipy's transform plans are cached on first use
+            tracemalloc.start()
+            try:
+                generate(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(FACE_LIKE) <= peak(LOW_FREQ_BLOBS) + 256 * 256 * 8
 
     def test_shapes(self):
         ds = generate(SynthSpec(FACE_LIKE, 3, (2, 10, 12), seed=0))
